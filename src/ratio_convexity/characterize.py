@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jacobi import MAX_DIMENSION, jacobi_eigh
 from .density import DensityModel, GaussianParams
 from .errors import ModelContractError, RankDeficientDesignError, UsageError
 
@@ -28,6 +27,10 @@ __all__ = [
     "monomial_names",
 ]
 
+# Largest dimension of the fitter and of eigen_symmetric; the default fit
+# lattice alone has 7**n points.
+MAX_DIMENSION = 10
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -40,11 +43,11 @@ class SpectralDecomposition:
         return self.eigenvectors @ np.diag(self.eigenvalues) @ self.eigenvectors.T
 
 
-def eigen_symmetric(matrix, *, off_diag_factor=1e-13):
+def eigen_symmetric(matrix):
     """Spectral decomposition of a small symmetric matrix.
 
     The input must be symmetric to 1e-12 (relative to its magnitude) and at
-    most 10x10; it is symmetrized before the Jacobi sweeps.
+    most 10x10; it is symmetrized before LAPACK ``eigh`` diagonalizes it.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim == 0:
@@ -59,8 +62,8 @@ def eigen_symmetric(matrix, *, off_diag_factor=1e-13):
     asym = float(np.max(np.abs(a - a.T))) if n > 1 else 0.0
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
         raise UsageError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    eigenvalues, eigenvectors = jacobi_eigh(0.5 * (a + a.T),
-                                            off_diag_factor=off_diag_factor)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
+    eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -152,6 +155,12 @@ def fit_log_quadratic(logf, dimension, sample_points):
         raise UsageError(
             f"need at least {needed} points to identify a quadratic in "
             f"dimension {dimension}, got {points.shape[0]}")
+    design = _quadratic_design(points)
+    if not np.all(np.isfinite(design)):
+        # LAPACK lstsq does not return on an inf design
+        raise UsageError(
+            "sample_points are too large: their squares or products "
+            "overflow the quadratic design")
 
     if isinstance(logf, DensityModel):
         values = logf.log_density_many(points)
@@ -163,7 +172,6 @@ def fit_log_quadratic(logf, dimension, sample_points):
             f"log-density evaluator returned a non-finite value at "
             f"{points[bad].tolist()}")
 
-    design = _quadratic_design(points)
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     n_cols = design.shape[1]
     if rank < n_cols:

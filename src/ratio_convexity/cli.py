@@ -30,7 +30,8 @@ from .errors import (DegenerateSampleError, InconclusiveScanError,
 from .normtest import (MAX_TEST_DIMENSION, Sample, default_test_grid,
                        kde_log_density, test_normality)
 from .probe import ProbeGrid, PropertyKind, default_tolerance, probe_property
-from .ratio import laplace_log_ratio, quartic_hxx
+from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
+                    quartic_hxx)
 
 SCHEMA_VERSION = 1
 
@@ -178,35 +179,33 @@ def _probe_grid(args, model, sample):
             steps=tuple(t * scale for t in default.steps))
     else:
         grid = ProbeGrid.for_dimension(n)
+    return _apply_grid_flags(args, grid)
 
-    x_span = getattr(args, "x_range", None)
-    points = getattr(args, "points", None)
-    y_text = getattr(args, "y_set", None)
-    steps_text = getattr(args, "steps", None)
-    if not any((x_span, points, y_text, steps_text)):
-        return grid
 
+def _apply_grid_flags(args, grid):
+    """Override a base grid with --x-range/--points/--y-set/--steps.
+
+    Each shift magnitude in --y-set becomes one shift along every axis.
+    """
+    n = grid.dimension
     x_range = grid.x_range
-    if x_span:
-        bounds = _floats(x_span, "--x-range")
+    if args.x_range:
+        bounds = _floats(args.x_range, "--x-range")
         if len(bounds) != 2 or bounds[0] >= bounds[1]:
             raise UsageError("--x-range expects LO,HI with LO < HI")
         x_range = tuple((bounds[0], bounds[1], axis[2]) for axis in x_range)
-    if points:
-        x_range = tuple((axis[0], axis[1], int(points)) for axis in x_range)
+    if args.points:
+        x_range = tuple((axis[0], axis[1], int(args.points)) for axis in x_range)
     y_set = grid.y_set
-    if y_text:
-        scalars = _floats(y_text, "--y-set")
+    if args.y_set:
         shifts = []
-        for value in scalars:
+        for value in _floats(args.y_set, "--y-set"):
             for axis in range(n):
                 y = np.zeros(n)
                 y[axis] = value
                 shifts.append(y)
         y_set = tuple(shifts)
-    steps = grid.steps
-    if steps_text:
-        steps = tuple(_floats(steps_text, "--steps"))
+    steps = tuple(_floats(args.steps, "--steps")) if args.steps else grid.steps
     return ProbeGrid(x_range=x_range, y_set=y_set,
                      directions=grid.directions, steps=steps)
 
@@ -362,29 +361,9 @@ def _run_test(args):
     if not args.input:
         raise UsageError("test requires --input FILE.csv")
     sample = parse_samples_csv(args.input)
-    grid = default_test_grid(sample.dimension) if sample.dimension <= MAX_TEST_DIMENSION else None
-    if grid is not None and any((args.x_range, args.points, args.y_set, args.steps)):
-        x_range = grid.x_range
-        if args.x_range:
-            bounds = _floats(args.x_range, "--x-range")
-            if len(bounds) != 2 or bounds[0] >= bounds[1]:
-                raise UsageError("--x-range expects LO,HI with LO < HI")
-            x_range = tuple((bounds[0], bounds[1], axis[2]) for axis in x_range)
-        if args.points:
-            x_range = tuple((axis[0], axis[1], int(args.points)) for axis in x_range)
-        y_set = grid.y_set
-        if args.y_set:
-            scalars = _floats(args.y_set, "--y-set")
-            shifts = []
-            for value in scalars:
-                for axis in range(sample.dimension):
-                    y = np.zeros(sample.dimension)
-                    y[axis] = value
-                    shifts.append(y)
-            y_set = tuple(shifts)
-        steps = tuple(_floats(args.steps, "--steps")) if args.steps else grid.steps
-        grid = ProbeGrid(x_range=x_range, y_set=y_set,
-                         directions=grid.directions, steps=steps)
+    grid = None
+    if sample.dimension <= MAX_TEST_DIMENSION:
+        grid = _apply_grid_flags(args, default_test_grid(sample.dimension))
 
     alphas = tuple(_floats(args.alpha, "--alpha")) if args.alpha else None
     kwargs = {"grid": grid, "reps": args.reps, "seed": args.seed}
@@ -419,18 +398,6 @@ def _run_test(args):
     return 0
 
 
-def _laplace_branch(x, y):
-    y_plus = max(y, 0.0)
-    y_minus = -min(y, 0.0)
-    if x <= -y_plus:
-        return "y"
-    if x <= 0.0:
-        return "-y-2x"
-    if x <= y_minus:
-        return "y+2x"
-    return "-y"
-
-
 def _run_counterexample(args):
     family = args.family
     bounds = _floats(args.x_range, "--x-range") if args.x_range else [-4.0, 4.0]
@@ -452,14 +419,13 @@ def _run_counterexample(args):
                 direct = (model.log_density([x + y]) - model.log_density([x]))
                 worst_gap = max(worst_gap, abs(value - direct))
                 rows.append({"x": float(x), "y": float(y),
-                             "branch": _laplace_branch(float(x), float(y)),
+                             "branch": laplace_branch(x, y),
                              "log_ratio": value})
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "counterexample",
             "family": "laplace",
-            "branches": {"(-inf, -y+]": "y", "(-y+, 0]": "-y-2x",
-                         "(0, y-]": "y+2x", "(y-, +inf)": "-y"},
+            "branches": LAPLACE_BRANCHES,
             "max_difference_vs_density": worst_gap,
             "rows": rows,
         }

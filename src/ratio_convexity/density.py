@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from ._jacobi import jacobi_eigh
 from .errors import ModelContractError, UsageError
 
 __all__ = [
@@ -64,9 +63,9 @@ def _as_points(x, dimension):
 class GaussianParams:
     """Mean vector plus positive-definite covariance, with spectral extras.
 
-    The covariance is symmetrized on entry and diagonalized once by the
-    cyclic Jacobi routine; the precision matrix, log-determinant, and the
-    symmetric square roots reuse that decomposition.
+    The covariance is symmetrized on entry and diagonalized once (eigenvalues
+    descending); the precision matrix, log-determinant, and the symmetric
+    square roots reuse that decomposition.
     """
 
     def __init__(self, mean, covariance):
@@ -84,7 +83,8 @@ class GaussianParams:
             raise UsageError("Gaussian parameters must be finite")
         cov = 0.5 * (cov + cov.T)
 
-        eigenvalues, basis = jacobi_eigh(cov)
+        eigenvalues, basis = np.linalg.eigh(cov)
+        eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
         floor = 1e-12 * max(1.0, float(eigenvalues[0]))
         if eigenvalues[-1] <= floor:
             raise UsageError("covariance is not positive definite")
@@ -196,15 +196,18 @@ class Gaussian(DensityModel):
         self.dimension = params.dimension
         self.label = "gaussian"
         self._log_norm = -0.5 * (self.dimension * _LOG_2PI + params.log_det_covariance)
+        # z = x W - mean W has |z|^2 = (x - mean)' precision (x - mean); the
+        # mean is shifted after the product so the (N, n) batch is walked once
+        self._whiten = params.eigenvectors / np.sqrt(params.eigenvalues)
+        self._whitened_mean = params.mean @ self._whiten
 
     def _log_density_one(self, point):
         return float(self._log_density_many(point.reshape(1, -1))[0])
 
     def _log_density_many(self, points):
-        centered = points - self.params.mean
-        rotated = centered @ self.params.eigenvectors
-        quad = (rotated * rotated / self.params.eigenvalues).sum(axis=1)
-        return self._log_norm - 0.5 * quad
+        z = points @ self._whiten
+        z -= self._whitened_mean
+        return self._log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
 
     def __repr__(self):
         return f"Gaussian({self.params!r})"

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._jacobi import jacobi_eigh
 from .density import Custom
 from .errors import DegenerateSampleError, UsageError
 from .probe import ProbeGrid
@@ -305,7 +304,8 @@ def _standardize(data):
             raise DegenerateSampleError("sample variance is zero")
         return centered / math.sqrt(variance)
     cov = centered.T @ centered / (m - 1)
-    eigenvalues, basis = jacobi_eigh(cov)
+    eigenvalues, basis = np.linalg.eigh(cov)
+    eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
     if eigenvalues[-1] <= 1e-12 * max(1.0, float(eigenvalues[0])):
         raise DegenerateSampleError("sample covariance is singular")
     whiten = basis @ np.diag(1.0 / np.sqrt(eigenvalues)) @ basis.T
@@ -359,7 +359,8 @@ def _fitted_root(data):
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (m - 1)
-    eigenvalues, basis = jacobi_eigh(cov)
+    eigenvalues, basis = np.linalg.eigh(cov)
+    eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
     if eigenvalues[-1] <= 1e-12 * max(1.0, float(eigenvalues[0])):
         raise DegenerateSampleError("sample covariance is singular")
     root = basis @ np.diag(np.sqrt(eigenvalues)) @ basis.T
@@ -405,7 +406,7 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     t_obs, bandwidths = _pipeline_statistic(data, grid, plan)
     mean, root = _fitted_root(data)
 
-    budget = min(thread_budget(), reps)
+    budget = min(thread_budget(), reps, os.cpu_count() or 1)
     if budget > 1:
         bounds = np.linspace(1, reps + 1, budget + 1).astype(int)
         payloads = [(mean, root, sample.count, grid, plan, seed,

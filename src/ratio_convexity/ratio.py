@@ -19,8 +19,10 @@ from .errors import UsageError
 
 __all__ = [
     "AffineForm",
+    "LAPLACE_BRANCHES",
     "QuarticHxx",
     "gaussian_log_ratio_affine",
+    "laplace_branch",
     "laplace_log_ratio",
     "log_ratio",
     "quartic_hxx",
@@ -66,6 +68,44 @@ def gaussian_log_ratio_affine(params, y):
     return AffineForm(slope=slope, intercept=intercept)
 
 
+# The x-intervals of the four pieces of the Laplace log-ratio, left to right,
+# with the label of each piece; y+ = max(y, 0) and y- = -min(y, 0).
+LAPLACE_BRANCHES = {"(-inf, -y+]": "y", "(-y+, 0]": "-y-2x",
+                    "(0, y-]": "y+2x", "(y-, +inf)": "-y"}
+
+_LAPLACE_PIECES = {
+    "y": lambda x, y: y,
+    "-y-2x": lambda x, y: -y - 2.0 * x,
+    "y+2x": lambda x, y: y + 2.0 * x,
+    "-y": lambda x, y: -y,
+}
+
+
+def _finite_scalars(x, y, name):
+    x = float(x)
+    y = float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise UsageError(f"{name} needs finite scalars")
+    return x, y
+
+
+def laplace_branch(x, y):
+    """Label of the piece of the Laplace log-ratio that holds at (x, y).
+
+    The labels and their x-intervals are listed in ``LAPLACE_BRANCHES``.
+    """
+    x, y = _finite_scalars(x, y, "laplace_branch")
+    y_plus = max(y, 0.0)
+    y_minus = -min(y, 0.0)
+    if x <= -y_plus:
+        return "y"
+    if x <= 0.0:
+        return "-y-2x"
+    if x <= y_minus:
+        return "y+2x"
+    return "-y"
+
+
 def laplace_log_ratio(x, y):
     """Four-branch closed form of log h(x, y) for the standard Laplace.
 
@@ -78,19 +118,8 @@ def laplace_log_ratio(x, y):
 
     which equals |x| - |x + y| everywhere.
     """
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise UsageError("laplace_log_ratio needs finite scalars")
-    y_plus = max(y, 0.0)
-    y_minus = -min(y, 0.0)
-    if x <= -y_plus:
-        return y
-    if x <= 0.0:
-        return -y - 2.0 * x
-    if x <= y_minus:
-        return y + 2.0 * x
-    return -y
+    x, y = _finite_scalars(x, y, "laplace_log_ratio")
+    return _LAPLACE_PIECES[laplace_branch(x, y)](x, y)
 
 
 class QuarticHxx(NamedTuple):
@@ -115,10 +144,7 @@ def quartic_hxx(x, y):
 
     which is nonnegative for every x exactly when y^2 >= 6.
     """
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise UsageError("quartic_hxx needs finite scalars")
+    x, y = _finite_scalars(x, y, "quartic_hxx")
     u = 2.0 * x + y
     bracket = -12.0 * u * y + y * y * (3.0 * u * u + y * y) ** 2
     exponent = x ** 4 - (x + y) ** 4

@@ -1,12 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ratio_convexity
 from ratio_convexity.cli import build_parser, main, parse_samples_csv
 from ratio_convexity.errors import UsageError
 from ratio_convexity.ratio import laplace_log_ratio
+
+# .../src/ratio_convexity/__init__.py -> .../src, so that a child interpreter
+# imports the same copy of the package
+SRC_DIR = str(Path(ratio_convexity.__file__).parents[1])
 
 
 # -------------------------------------------------------------- CSV parsing
@@ -175,6 +184,23 @@ def test_fit_kde_sample_has_loose_tolerance(run_cli_json, normal_csv):
     assert payload["command"] == "fit"
 
 
+def test_fit_rejects_overflowing_design(tmp_path):
+    # at sd 1e200 the squared design columns overflow, and LAPACK lstsq did
+    # not return on the inf design; a child interpreter with a timeout
+    # turns such a hang into a failure instead of a stalled suite
+    path = tmp_path / "huge.csv"
+    values = np.random.default_rng(3).standard_normal(200) * 1e200
+    path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "ratio_convexity.cli", "fit", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "overflow the quadratic design" in result.stderr
+
+
 # ------------------------------------------------------------------- test
 
 
@@ -209,6 +235,15 @@ def test_test_alpha_override(run_cli_json, normal_csv):
                             "--alpha", "0.5"])
     decisions = payload["report"]["decisions"]
     assert decisions == [{"alpha": 0.5, "reject": False}]
+
+
+def test_test_grid_flags(run_cli, run_cli_json, normal_csv):
+    payload = run_cli_json(["test", "--input", str(normal_csv),
+                            "--points", "31", "--reps", "99"])
+    assert payload["provenance"]["grid"]["x_range"] == [[-3.0, 3.0, 31]]
+    code, _ = run_cli(["test", "--input", str(normal_csv),
+                       "--x-range", "5,1"])
+    assert code == 2
 
 
 def test_test_requires_input(run_cli):

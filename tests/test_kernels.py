@@ -1,20 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import ratio_convexity
 from ratio_convexity import kernels
 
 from _oracles import kde_log_density_naive
-
-HAS_COMPILED = "compiled" in kernels.available_backends()
-
-needs_compiled = pytest.mark.skipif(
-    not HAS_COMPILED, reason="compiled kernel extension was not built")
 
 
 def make_case(rng, n_points, m_data, dimension):
@@ -30,57 +19,14 @@ def log_norm_of(data, bandwidths):
              + 0.5 * n * np.log(2.0 * np.pi))
 
 
-def test_backend_name_is_available():
-    assert kernels.backend_name() in kernels.available_backends()
-    assert "pure" in kernels.available_backends()
-
-
-def test_compiled_backend_was_built():
-    # the build falls back to pure python silently; this test documents
-    # whether that happened in this environment
-    if not HAS_COMPILED:
-        pytest.skip("compiled backend missing (pure fallback in use)")
-    assert callable(kernels.get_backend("compiled"))
-
-
-def test_get_backend_rejects_unknown_name():
-    with pytest.raises(KeyError):
-        kernels.get_backend("fortran")
-
-
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_pure_backend_matches_naive_oracle(dimension):
     rng = np.random.default_rng(1000 + dimension)
     points, data, bandwidths = make_case(rng, 64, 37, dimension)
-    pure = kernels.get_backend("pure")(
+    got = kernels.kde_log_density_batch(
         points, data, 1.0 / bandwidths, log_norm_of(data, bandwidths))
     oracle = kde_log_density_naive(points, data, bandwidths)
-    np.testing.assert_allclose(pure, oracle, rtol=1e-12)
-
-
-@needs_compiled
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_compiled_backend_matches_naive_oracle(dimension):
-    rng = np.random.default_rng(2000 + dimension)
-    points, data, bandwidths = make_case(rng, 64, 37, dimension)
-    compiled = kernels.get_backend("compiled")(
-        points, data, 1.0 / bandwidths, log_norm_of(data, bandwidths))
-    oracle = kde_log_density_naive(points, data, bandwidths)
-    np.testing.assert_allclose(compiled, oracle, rtol=1e-12)
-
-
-@needs_compiled
-def test_backends_agree_to_rounding():
-    rng = np.random.default_rng(3000)
-    for n_points, m_data, dimension in [(1, 5, 1), (200, 100, 1),
-                                        (500, 50, 2), (64, 300, 3),
-                                        (4097, 40, 1)]:  # crosses chunk size
-        points, data, bandwidths = make_case(rng, n_points, m_data, dimension)
-        log_norm = log_norm_of(data, bandwidths)
-        pure = kernels.get_backend("pure")(points, data, 1.0 / bandwidths, log_norm)
-        compiled = kernels.get_backend("compiled")(points, data,
-                                                   1.0 / bandwidths, log_norm)
-        np.testing.assert_allclose(compiled, pure, rtol=1e-11)
+    np.testing.assert_allclose(got, oracle, rtol=1e-12)
 
 
 def test_wrapper_handles_non_contiguous_input():
@@ -106,40 +52,3 @@ def test_extreme_separation_does_not_overflow():
     assert np.all(np.isfinite(values))
     assert values[0] == pytest.approx(values[1])
     assert values[0] < -100_000.0
-
-
-PACKAGE_FILE = ratio_convexity.__file__
-# .../src/ratio_convexity/kernels/__init__.py -> .../src
-SRC_DIR = str(Path(kernels.__file__).parents[2])
-
-
-def _backend_in_subprocess(env_value):
-    # The child inherits the parent's environment, with this copy's source
-    # directory put first on PYTHONPATH so that it imports the same
-    # ratio_convexity.  It writes where that package comes from to stderr
-    # before importing it, since a refused backend makes the import fail.
-    code = ("import importlib.util, sys;"
-            "print(importlib.util.find_spec('ratio_convexity').origin,"
-            " file=sys.stderr);"
-            "import ratio_convexity.kernels as k;"
-            "print(k.backend_name())")
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, RATIO_CONVEXITY_BACKEND=env_value,
-               PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env)
-    assert (result.stderr.splitlines() or [None])[0] == PACKAGE_FILE, result.stderr
-    return result
-
-
-def test_backend_env_forces_pure():
-    result = _backend_in_subprocess("pure")
-    assert result.returncode == 0
-    assert result.stdout.strip() == "pure"
-
-
-def test_backend_env_rejects_unknown():
-    result = _backend_in_subprocess("gpu")
-    assert result.returncode != 0
-    assert "RATIO_CONVEXITY_BACKEND" in result.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ratio_convexity import normtest
 from ratio_convexity.density import Gaussian, GaussianParams, Laplace1D
 from ratio_convexity.errors import DegenerateSampleError, UsageError
 from ratio_convexity.normtest import (
@@ -268,7 +269,8 @@ def test_monte_carlo_null_regression():
     data = np.random.default_rng(7).standard_normal((60, 1))
     report = monte_carlo_pvalue(Sample(data), reps=99, seed=5)
     # the nearest replicate is more than 1% away from the observed value,
-    # so the frozen p-value is stable against backend rounding
+    # so the frozen p-value is stable against rounding differences between
+    # numpy and BLAS builds
     assert report.statistic == pytest.approx(9.654638336626796, rel=1e-11)
     assert report.p_value == 0.54
     assert report.bandwidth == pytest.approx(0.36167864902392255, rel=1e-11)
@@ -303,6 +305,35 @@ def test_parallel_workers_match_serial(monkeypatch):
     parallel = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
     assert parallel.statistic == serial.statistic
     assert parallel.p_value == serial.p_value
+
+
+def test_workers_are_bounded_by_core_count(monkeypatch):
+    # an in-process stand-in for the pool: records the worker count and
+    # runs the batches serially, so no process is started
+    class RecordingPool:
+        max_workers = []
+
+        def __init__(self, max_workers):
+            self.max_workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, payloads):
+            return map(function, payloads)
+
+    data = np.random.default_rng(13).standard_normal((40, 1))
+    monkeypatch.delenv("RATIO_CONVEXITY_THREADS", raising=False)
+    serial = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
+    monkeypatch.setattr(normtest, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(normtest.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("RATIO_CONVEXITY_THREADS", "64")
+    bounded = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
+    assert RecordingPool.max_workers == [2]
+    assert bounded.p_value == serial.p_value
 
 
 def test_monte_carlo_validates_arguments():

@@ -11,8 +11,10 @@ from ratio_convexity.density import (
 )
 from ratio_convexity.errors import UsageError
 from ratio_convexity.ratio import (
+    LAPLACE_BRANCHES,
     AffineForm,
     gaussian_log_ratio_affine,
+    laplace_branch,
     laplace_log_ratio,
     log_ratio,
     quartic_hxx,
@@ -133,6 +135,18 @@ def test_laplace_log_ratio_matches_model():
 ])
 def test_laplace_log_ratio_branch_values(x, y, expected):
     assert laplace_log_ratio(x, y) == pytest.approx(expected, abs=1e-15)
+
+
+def test_laplace_branch_labels_and_closed_boundaries():
+    # each interval is closed on the right, so a boundary point takes the
+    # label of the piece to its left
+    assert [laplace_branch(x, 1.0) for x in (-2.0, -1.0, -0.5, 0.0, 0.5)] == [
+        "y", "y", "-y-2x", "-y-2x", "-y"]
+    assert [laplace_branch(x, -1.0) for x in (-0.5, 0.0, 0.5, 1.0, 2.0)] == [
+        "y", "y", "y+2x", "y+2x", "-y"]
+    assert set(LAPLACE_BRANCHES.values()) == {"y", "-y-2x", "y+2x", "-y"}
+    with pytest.raises(UsageError):
+        laplace_branch(0.0, math.inf)
 
 
 def test_laplace_log_ratio_rejects_non_finite():
