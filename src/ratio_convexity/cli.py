@@ -27,8 +27,8 @@ from .characterize import classify_gaussian, default_fit_lattice, fit_log_quadra
 from .density import Gaussian, GaussianParams, Laplace1D, Quartic1D
 from .errors import (DegenerateSampleError, InconclusiveScanError,
                      ModelContractError, UsageError)
-from .normtest import (MAX_TEST_DIMENSION, Sample, default_test_grid,
-                       kde_log_density, test_normality)
+from .normtest import (MAX_TEST_DIMENSION, Sample, _unit_scaled,
+                       default_test_grid, kde_log_density, test_normality)
 from .probe import ProbeGrid, PropertyKind, default_tolerance, probe_property
 from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
                     quartic_hxx)
@@ -162,8 +162,11 @@ def _probe_grid(args, model, sample):
     """Probe grid from flags; data-driven defaults for KDE models."""
     n = model.dimension
     if sample is not None:
-        sd = sample.data.std(axis=0, ddof=1)
-        mean = sample.data.mean(axis=0)
+        # moments of the exactly rescaled sample, mapped back: no overflow
+        # or underflow at any scale
+        scaled, exponent = _unit_scaled(sample.data, axis=0)
+        sd = np.ldexp(scaled.std(axis=0, ddof=1), exponent)
+        mean = np.ldexp(scaled.mean(axis=0), exponent)
         scale = float(sd.mean())
         if not (np.all(sd > 0) and np.isfinite(scale)):
             raise DegenerateSampleError("sample has an axis with zero spread")

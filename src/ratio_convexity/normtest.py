@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .density import Custom
 from .errors import DegenerateSampleError, UsageError
-from .probe import ProbeGrid
+from .probe import ProbeGrid, _log_ratio_blocks
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -57,6 +57,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _TEST_POINTS_PER_AXIS = {1: 61, 2: 13, 3: 7}
 
 _MASK64 = (1 << 64) - 1
+#: standard deviations in [2**-300, 2**300] come out of plain arithmetic at
+#: full precision; outside, the moments are formed on a rescaled copy
+_MIN_SD = 2.0 ** -300
+_MAX_SD = 2.0 ** 300
 
 
 class Sample:
@@ -135,12 +139,32 @@ def default_test_grid(dimension):
         y_magnitudes=(0.5, 1.0, 2.0), steps=(0.2, 0.4))
 
 
+def _unit_scaled(values, axis=None):
+    """``(values * 2**-e, e)`` with max|values| in [2**(e-1), 2**e).
+
+    Scaling by a power of two is exact, so moments formed from the result
+    neither overflow nor underflow at any sample scale (1e+-200 included),
+    and ``np.ldexp(moment, e)`` maps them back bit for bit.
+    """
+    _, exponent = np.frexp(np.abs(values).max(axis=axis))
+    return np.ldexp(values, -exponent), exponent
+
+
 def _silverman_per_axis(data):
     m = data.shape[0]
-    sd = data.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sd = data.std(axis=0, ddof=1)
+    if not all(_MIN_SD <= v <= _MAX_SD for v in sd.tolist()):
+        # squares of a sample near 1e+-200 over- or underflow: apply the
+        # rule to an exactly rescaled copy and scale the bandwidths back
+        scaled, exponent = _unit_scaled(data, axis=0)
+        if np.any(exponent != 0):
+            return np.ldexp(_silverman_per_axis(scaled), exponent)
     q25, q75 = np.percentile(data, [25.0, 75.0], axis=0)
-    spread = np.minimum(sd, (q75 - q25) / 1.34)
-    if not np.all(np.isfinite(spread)) or np.any(spread <= 0.0):
+    # with more than half the values tied the IQR is 0 while sd is not;
+    # Silverman (1986) then uses sd alone
+    spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
+    if not all(0.0 < v < math.inf for v in spread.tolist()):
         raise DegenerateSampleError(
             "sample has an axis with no usable spread; bandwidth undefined")
     return 0.9 * spread * m ** (-0.2)
@@ -148,6 +172,8 @@ def _silverman_per_axis(data):
 
 def bandwidth_silverman(sample):
     """Silverman's rule per axis: 0.9 min(sd, IQR/1.34) m^(-1/5).
+
+    An axis whose IQR is 0 (more than half its values tied) uses sd alone.
 
     Returns a float in one dimension, an (n,) array otherwise.
     """
@@ -202,28 +228,13 @@ def violation_statistic(model, grid=None):
         raise UsageError(
             f"grid dimension {grid.dimension} does not match model dimension "
             f"{model.dimension}")
-    base = grid.base_points()
-    k = base.shape[0]
-    offsets = [(step, step * direction)
-               for direction in grid.directions
-               for step in grid.steps]
-
     best = 0.0
-    for y in grid.y_set:
-        stack = [base, base + y]
-        for _, offset in offsets:
-            stack.extend((base - offset, base + offset,
-                          base + y - offset, base + y + offset))
-        values = model.log_density_many(np.vstack(stack))
-        center = values[k:2 * k] - values[:k]
-        for block, (step, _) in enumerate(offsets):
-            at = (2 + 4 * block) * k
-            phi_minus = values[at + 2 * k:at + 3 * k] - values[at:at + k]
-            phi_plus = values[at + 3 * k:at + 4 * k] - values[at + k:at + 2 * k]
-            d2 = phi_plus - 2.0 * center + phi_minus
-            worst = float(np.max(np.abs(d2))) / (step * step)
-            if worst > best:
-                best = worst
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, grid):
+        step = grid.steps[block % len(grid.steps)]
+        d2 = phi_plus - 2.0 * phi_center + phi_minus
+        worst = float(np.max(np.abs(d2))) / (step * step)
+        if worst > best:
+            best = worst
     return best
 
 
@@ -294,20 +305,55 @@ def _lattice_statistic(log_values, plan):
     return best
 
 
-def _standardize(data):
-    m, n = data.shape
-    mean = data.mean(axis=0)
-    centered = data - mean
+def _covariance(centered):
+    """Unbiased covariance of deviations; the variance as a float for n = 1."""
+    m, n = centered.shape
     if n == 1:
-        variance = float(centered[:, 0] @ centered[:, 0]) / (m - 1)
-        if not (math.isfinite(variance) and variance > 0.0):
-            raise DegenerateSampleError("sample variance is zero")
-        return centered / math.sqrt(variance)
-    cov = centered.T @ centered / (m - 1)
+        return float(centered[:, 0] @ centered[:, 0]) / (m - 1)
+    return centered.T @ centered / (m - 1)
+
+
+def _moments(data):
+    """``(mean, centered, cov, e)`` of a sample, at any scale.
+
+    ``data - mean = centered * 2**e`` and ``cov`` is the covariance of
+    ``centered``.  At ordinary scales e = 0 and these are the plain moments.
+    When a variance falls outside [_MIN_SD**2, _MAX_SD**2] (or is not
+    finite), they are formed again from a copy rescaled by exact powers of
+    two: first by max|data|, then, after centering, by the largest
+    deviation, so that neither the squares nor the sums leave double range.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mean = data.mean(axis=0)
+        centered = data - mean
+        cov = _covariance(centered)
+    variances = np.diagonal(cov).tolist() if centered.shape[1] > 1 else [cov]
+    if all(_MIN_SD ** 2 <= v <= _MAX_SD ** 2 for v in variances):
+        return mean, centered, cov, 0
+    scaled, first = _unit_scaled(data)
+    mean = scaled.mean(axis=0)
+    centered, second = _unit_scaled(scaled - mean)
+    return np.ldexp(mean, first), centered, _covariance(centered), first + second
+
+
+def _covariance_spectrum(cov):
+    """Eigenvalues (descending) and eigenvectors of a covariance matrix."""
     eigenvalues, basis = np.linalg.eigh(cov)
     eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
-    if eigenvalues[-1] <= 1e-12 * max(1.0, float(eigenvalues[0])):
+    # relative to the largest eigenvalue, so that the verdict does not
+    # depend on the unit of the sample
+    if eigenvalues[-1] <= 1e-12 * float(eigenvalues[0]):
         raise DegenerateSampleError("sample covariance is singular")
+    return eigenvalues, basis
+
+
+def _standardize(data):
+    _, centered, cov, _ = _moments(data)
+    if centered.shape[1] == 1:
+        if not (math.isfinite(cov) and cov > 0.0):
+            raise DegenerateSampleError("sample variance is zero")
+        return centered / math.sqrt(cov)
+    eigenvalues, basis = _covariance_spectrum(cov)
     whiten = basis @ np.diag(1.0 / np.sqrt(eigenvalues)) @ basis.T
     return centered @ whiten
 
@@ -355,16 +401,10 @@ def pvalue_from_replicates(t_observed, t_replicates):
 
 def _fitted_root(data):
     """Mean and symmetric square root of the unbiased sample covariance."""
-    m, n = data.shape
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (m - 1)
-    eigenvalues, basis = np.linalg.eigh(cov)
-    eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
-    if eigenvalues[-1] <= 1e-12 * max(1.0, float(eigenvalues[0])):
-        raise DegenerateSampleError("sample covariance is singular")
+    mean, _, cov, exponent = _moments(data)
+    eigenvalues, basis = _covariance_spectrum(np.atleast_2d(cov))
     root = basis @ np.diag(np.sqrt(eigenvalues)) @ basis.T
-    return mean, root
+    return mean, np.ldexp(root, exponent)
 
 
 def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,

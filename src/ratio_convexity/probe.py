@@ -52,6 +52,8 @@ DIRECTION_SEED = 424242
 _EXTRA_DIRECTIONS = 8
 
 _PRUNE_LIMIT = 8192
+#: most rows handed to one ``log_density_many`` call by the grid evaluator
+_ROW_BUDGET = 8192
 
 
 class PropertyKind(enum.Enum):
@@ -298,6 +300,54 @@ def _margins(kind, phi_minus, phi_center, phi_plus, tol):
         return margin, tol_used, mask, values
 
 
+def _log_density_rows(model, points):
+    """log f at each row, in calls of at most ``_ROW_BUDGET`` rows."""
+    if points.shape[0] <= _ROW_BUDGET:
+        return model.log_density_many(points)
+    return np.concatenate([
+        model.log_density_many(points[start:start + _ROW_BUDGET])
+        for start in range(0, points.shape[0], _ROW_BUDGET)])
+
+
+def _log_ratio_blocks(model, grid):
+    """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a probe grid.
+
+    Block ``b`` pairs direction ``b // len(grid.steps)`` with step
+    ``grid.steps[b % len(grid.steps)]``.  Each phi array has shape
+    (shifts, base points) and holds phi = log f(. + y) - log f(.) at
+    x - t d, x and x + t d.  log f is evaluated once per distinct point:
+    x and x +/- t d once for all shifts, and the shifted centres x + y once
+    per distinct bit pattern, so shifts that land on the same lattice point
+    share their evaluations.  Every point is the float the per-shift stack
+    ``x + y - t d`` would give, so the phi values do not depend on how the
+    rows are grouped into calls.
+    """
+    base = grid.base_points()
+    k, n = base.shape
+    shifted = (base + np.asarray(grid.y_set)[:, None, :]).reshape(-1, n)
+    _, first, inverse = np.unique(shifted.view(np.int64), axis=0,
+                                  return_index=True, return_inverse=True)
+    rows = inverse.reshape(len(grid.y_set), k)
+    # x, then the distinct x + y; every block evaluates these at -/+ t d
+    anchors = np.vstack((base, shifted[first]))
+    head = _log_density_rows(model, anchors)
+    phi_center = head[k:][rows] - head[:k]
+
+    offsets = np.array([step * direction
+                        for direction in grid.directions for step in grid.steps])
+    # x - t d is computed as x + (-t d): the same float
+    deltas = np.stack((-offsets, offsets), axis=1)[:, :, None, :]
+    width = anchors.shape[0]
+    per_call = max(1, _ROW_BUDGET // (2 * width))
+    for start in range(0, len(deltas), per_call):
+        chunk = deltas[start:start + per_call]
+        values = _log_density_rows(model, (anchors + chunk).reshape(-1, n))
+        for block, (minus, plus) in enumerate(
+                values.reshape(len(chunk), 2, width), start):
+            yield (block, minus[k:][rows] - minus[:k], phi_center,
+                   plus[k:][rows] - plus[:k])
+
+
 def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
     """Probe one property of the translation ratios of ``model`` over a grid.
 
@@ -321,49 +371,34 @@ def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
 
     base = grid.base_points()
     k = base.shape[0]
-    offsets = [(di, ti, step * direction)
-               for di, direction in enumerate(grid.directions)
-               for ti, step in enumerate(grid.steps)]
-
     candidates = []
     points_checked = 0
     violation_count = 0
     sort_key = lambda entry: (-abs(entry[0]), entry[1])
 
-    for yi, y in enumerate(grid.y_set):
-        stack = [base, base + y]
-        for _, _, offset in offsets:
-            stack.extend((base - offset, base + offset,
-                          base + y - offset, base + y + offset))
-        values = model.log_density_many(np.vstack(stack))
-        phi_center = values[k:2 * k] - values[:k]
-
-        for block, (di, ti, _) in enumerate(offsets):
-            at = (2 + 4 * block) * k
-            log_minus = values[at:at + k]
-            log_plus = values[at + k:at + 2 * k]
-            phi_minus = values[at + 2 * k:at + 3 * k] - log_minus
-            phi_plus = values[at + 3 * k:at + 4 * k] - log_plus
-
-            margin, tol_used, mask, triple_values = _margins(
-                kind, phi_minus, phi_center, phi_plus, tol)
-            points_checked += k
-            hits = np.flatnonzero(mask)
-            if hits.size == 0:
-                continue
-            violation_count += int(hits.size)
-            for xi in hits:
-                m = float(margin[xi])
-                if not np.isfinite(m):
-                    continue  # beyond double range: counted, not materialized
-                candidates.append((
-                    m, (yi, int(xi), di, ti), float(tol_used[xi]),
-                    (float(triple_values[0][xi]), float(triple_values[1][xi]),
-                     float(triple_values[2][xi])),
-                ))
-            if len(candidates) > _PRUNE_LIMIT:
-                candidates.sort(key=sort_key)
-                del candidates[witness_cap:]
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, grid):
+        di, ti = divmod(block, len(grid.steps))
+        margin, tol_used, mask, triple_values = _margins(
+            kind, phi_minus, phi_center, phi_plus, tol)
+        points_checked += mask.size
+        violation_count += int(np.count_nonzero(mask))
+        # beyond double range: counted, not materialized
+        hits = np.flatnonzero(mask & np.isfinite(margin))
+        if hits.size > witness_cap:
+            # only this block's top witness_cap can reach the global top;
+            # flat (shift, point) order is position order within a block
+            order = np.lexsort((hits, -np.abs(margin.flat[hits])))
+            hits = hits[order[:witness_cap]]
+        for flat in hits.tolist():
+            yi, xi = divmod(flat, k)
+            candidates.append((
+                float(margin.flat[flat]), (yi, xi, di, ti),
+                float(tol_used.flat[flat]),
+                tuple(float(v.flat[flat]) for v in triple_values),
+            ))
+        if len(candidates) > _PRUNE_LIMIT:
+            candidates.sort(key=sort_key)
+            del candidates[witness_cap:]
 
     candidates.sort(key=sort_key)
     witnesses = []

@@ -120,3 +120,40 @@ def quadratic_fit_1d(xs, values):
     coeffs = np.polyfit(xs, values, 2)
     residuals = np.polyval(coeffs, xs) - values
     return coeffs, float(np.max(np.abs(residuals)))
+
+
+def per_shift_log_ratios(model, grid):
+    """Yield (shift, direction, step index, phi_minus, phi_center, phi_plus).
+
+    The per-shift stacking the grid evaluators used before they shared one
+    evaluator: for every shift y it evaluates log f at x, x + y, x -/+ t d
+    and x + y -/+ t d in one batch, with no reuse across shifts, and forms
+    phi = log f(. + y) - log f(.) on the (base point) axis.
+    """
+    base = grid.base_points()
+    k = base.shape[0]
+    offsets = [(di, ti, step * direction)
+               for di, direction in enumerate(grid.directions)
+               for ti, step in enumerate(grid.steps)]
+    for yi, y in enumerate(grid.y_set):
+        stack = [base, base + y]
+        for _, _, offset in offsets:
+            stack.extend((base - offset, base + offset,
+                          base + y - offset, base + y + offset))
+        values = model.log_density_many(np.vstack(stack))
+        phi_center = values[k:2 * k] - values[:k]
+        for block, (di, ti, _) in enumerate(offsets):
+            at = (2 + 4 * block) * k
+            phi_minus = values[at + 2 * k:at + 3 * k] - values[at:at + k]
+            phi_plus = values[at + 3 * k:at + 4 * k] - values[at + k:at + 2 * k]
+            yield yi, di, ti, phi_minus, phi_center, phi_plus
+
+
+def per_shift_statistic(model, grid):
+    """max over the grid of |second difference of log h| / t^2, shift by shift."""
+    best = 0.0
+    for _, _, ti, phi_minus, phi_center, phi_plus in per_shift_log_ratios(model, grid):
+        step = grid.steps[ti]
+        d2 = phi_plus - 2.0 * phi_center + phi_minus
+        best = max(best, float(np.max(np.abs(d2))) / (step * step))
+    return best

@@ -246,6 +246,47 @@ def test_test_grid_flags(run_cli, run_cli_json, normal_csv):
     assert code == 2
 
 
+def _write_column(path, values):
+    path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+    return str(path)
+
+
+def test_test_and_probe_answer_at_extreme_scales(run_cli_json, tmp_path):
+    # squaring 1e+-200 used to overflow or underflow into "sample variance
+    # is zero" (test) and "zero spread" / "no usable spread" (probe)
+    z = np.random.default_rng(8).standard_normal(40)
+    test_argv = ["--reps", "99", "--seed", "2"]
+    probe_argv = ["--property", "log-convex", "--points", "41"]
+    reference = run_cli_json(["test", "--input", _write_column(
+        tmp_path / "affine.csv", 3.0 + 2.0 * z)] + test_argv)["report"]
+    unit = run_cli_json(["probe", "--input", _write_column(
+        tmp_path / "unit.csv", z)] + probe_argv)
+    for name, scale in (("huge", 1e200), ("tiny", 1e-200)):
+        path = _write_column(tmp_path / f"{name}.csv", scale * z)
+        report = run_cli_json(["test", "--input", path] + test_argv)["report"]
+        assert report["statistic"] == pytest.approx(reference["statistic"],
+                                                    rel=1e-9)
+        assert report["p_value"] == reference["p_value"]
+        probe = run_cli_json(["probe", "--input", path] + probe_argv)
+        assert probe["model"]["bandwidth"][0] == pytest.approx(
+            scale * unit["model"]["bandwidth"][0], rel=1e-12)
+        np.testing.assert_allclose(probe["grid"]["x_range"][0][:2],
+                                   np.multiply(scale, unit["grid"]["x_range"][0][:2]),
+                                   rtol=1e-12)
+        assert probe["properties"]["log-convex"]["points_checked"] > 0
+
+
+def test_test_and_probe_answer_on_mostly_tied_sample(run_cli_json, tmp_path):
+    # 37 of 40 values tie at 0, so the IQR is 0 while sd is not
+    values = np.round(0.3 * np.random.default_rng(57).standard_normal(40))
+    path = _write_column(tmp_path / "tied.csv", values)
+    report = run_cli_json(["test", "--input", path, "--reps", "99"])["report"]
+    assert 0.0 < report["p_value"] <= 1.0
+    probe = run_cli_json(["probe", "--input", path, "--property", "log-convex",
+                          "--points", "41"])
+    assert probe["model"]["bandwidth"][0] > 0.0
+
+
 def test_test_requires_input(run_cli):
     code, _ = run_cli(["test", "--model", "gaussian", "--mu", "0",
                        "--sigma", "1"])

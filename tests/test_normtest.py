@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ratio_convexity import normtest
-from ratio_convexity.density import Gaussian, GaussianParams, Laplace1D
+from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D
 from ratio_convexity.errors import DegenerateSampleError, UsageError
 from ratio_convexity.normtest import (
     DEFAULT_ALPHAS,
@@ -12,6 +12,7 @@ from ratio_convexity.normtest import (
     MIN_SAMPLE_SIZE,
     Sample,
     TestReport,
+    _fitted_root,
     _lattice_plan,
     _pipeline_statistic,
     _standardize,
@@ -30,6 +31,7 @@ from ratio_convexity.probe import ProbeGrid
 from _oracles import (
     adaptive_simpson,
     kde_log_density_naive,
+    per_shift_statistic,
     ratio_second_difference,
     splitmix64_reference,
 )
@@ -131,6 +133,23 @@ def test_bandwidth_degenerate_axis():
         bandwidth_silverman(Sample(data))
 
 
+def test_bandwidth_falls_back_to_sd_when_most_values_tie():
+    # 37 of 40 values are 0, so the IQR is 0 while sd is not
+    data = np.round(0.3 * np.random.default_rng(57).standard_normal(40))
+    assert np.count_nonzero(data == 0.0) == 37
+    sd = np.std(data, ddof=1)
+    assert bandwidth_silverman(Sample(data)) == pytest.approx(
+        0.9 * sd * 40 ** (-0.2), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_bandwidth_at_extreme_scales(scale):
+    data = np.random.default_rng(58).standard_normal((50, 2))
+    h = bandwidth_silverman(Sample(data))
+    np.testing.assert_allclose(bandwidth_silverman(Sample(scale * data)),
+                               scale * h, rtol=1e-13)
+
+
 # ------------------------------------------------------------------- KDE
 
 
@@ -199,6 +218,42 @@ def test_statistic_matches_direct_loop():
     assert violation_statistic(model, grid) == pytest.approx(best, rel=1e-10)
 
 
+@pytest.mark.parametrize("dimension, draw", [
+    (2, "standard_normal"), (2, "laplace"), (3, "standard_normal")])
+def test_statistic_equals_per_shift_oracle(dimension, draw):
+    data = getattr(np.random.default_rng(72), draw)(size=(25, dimension))
+    model = kde_log_density(Sample(data, min_count=2))
+    grid = default_test_grid(dimension)
+    assert violation_statistic(model, grid) == per_shift_statistic(model, grid)
+
+
+def test_statistic_equals_per_shift_oracle_off_lattice():
+    # shifts and steps off the lattice spacing, plus one repeated shift
+    # whose centres all coincide with those of the first
+    model = kde_log_density(
+        Sample(np.random.default_rng(75).standard_normal((30, 2)), min_count=2))
+    grid = ProbeGrid(x_range=((-2.3, 1.9, 11), (-1.7, 2.6, 7)),
+                     y_set=([0.37, -0.21], [-1.3, 0.0], [0.37, -0.21]),
+                     directions=([1.0, 0.0], [0.6, 0.8]),
+                     steps=(0.13, 0.71))
+    assert violation_statistic(model, grid) == per_shift_statistic(model, grid)
+
+
+def test_statistic_evaluates_each_distinct_point_once():
+    calls = []
+    gaussian = Gaussian(GaussianParams(np.zeros(2), np.eye(2)))
+
+    def batch(points):
+        calls.append(points.shape[0])
+        return gaussian.log_density_many(points)
+
+    model = Custom(2, gaussian.log_density, batch_evaluator=batch)
+    violation_statistic(model, default_test_grid(2))
+    # 169 base points and 377 distinct shifted centres, each at itself and
+    # at +/- t d for 10 directions x 2 steps: (169 + 377) * 41 rows
+    assert sum(calls) == 22386
+
+
 def test_statistic_validates_grid_dimension():
     with pytest.raises(UsageError):
         violation_statistic(Laplace1D(), default_test_grid(2))
@@ -252,6 +307,21 @@ def test_standardize_properties():
         _standardize(np.ones((30, 1)))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-7, 1e-200])
+def test_standardize_and_fit_at_extreme_scales(scale):
+    # squaring 1e+-200 overflows or underflows; the moments are formed on
+    # an exactly rescaled copy.  At 1e-7 the 2-D covariance (~1e-14) was
+    # refused as singular by a threshold that was absolute below 1.
+    rng = np.random.default_rng(92)
+    for data in (rng.standard_normal((60, 1)), rng.standard_normal((60, 2))):
+        np.testing.assert_allclose(_standardize(scale * data), _standardize(data),
+                                   rtol=1e-12, atol=1e-12)
+        mean, root = _fitted_root(data)
+        big_mean, big_root = _fitted_root(scale * data)
+        np.testing.assert_allclose(big_mean, scale * mean, rtol=1e-12)
+        np.testing.assert_allclose(big_root, scale * root, rtol=1e-12)
+
+
 def test_statistic_is_location_scale_invariant_1d():
     rng = np.random.default_rng(91)
     data = rng.standard_normal((50, 1))
@@ -285,6 +355,22 @@ def test_monte_carlo_rejects_laplace_sample():
     assert report.statistic == pytest.approx(414.0257, rel=1e-4)
     assert report.p_value == pytest.approx(0.01)
     assert report.decision_at == ((0.01, True), (0.05, True), (0.10, True))
+
+
+def test_monte_carlo_is_scale_free_at_extreme_scales():
+    z = np.random.default_rng(93).standard_normal(40)
+    reference = monte_carlo_pvalue(Sample(3.0 + 2.0 * z), reps=99, seed=4)
+    for scale in (1e200, 1e-200):
+        report = monte_carlo_pvalue(Sample(scale * z), reps=99, seed=4)
+        assert report.statistic == pytest.approx(reference.statistic, rel=1e-9)
+        assert report.p_value == reference.p_value
+
+
+def test_monte_carlo_answers_on_mostly_tied_sample():
+    data = np.round(0.3 * np.random.default_rng(57).standard_normal(40))
+    report = monte_carlo_pvalue(Sample(data), reps=99, seed=1)
+    assert report.statistic > 0.0
+    assert 0.0 < report.p_value <= 1.0
 
 
 def test_monte_carlo_is_deterministic():

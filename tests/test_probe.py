@@ -5,9 +5,12 @@ import pytest
 
 from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D, Quartic1D
 from ratio_convexity.errors import InconclusiveScanError, UsageError
+from ratio_convexity.normtest import Sample, kde_log_density
 from ratio_convexity.probe import (
+    _ROW_BUDGET,
     ProbeGrid,
     PropertyKind,
+    _margins,
     concavity_impossibility_scan,
     default_tolerance,
     probe_property,
@@ -15,7 +18,8 @@ from ratio_convexity.probe import (
     second_difference,
 )
 
-from _oracles import brute_force_h_margin, ratio_second_difference
+from _oracles import (brute_force_h_margin, per_shift_log_ratios,
+                      ratio_second_difference)
 
 
 LAPLACE_EXACT_GRID = ProbeGrid(x_range=((-4.0, 4.0, 9),), y_set=([1.0],),
@@ -264,6 +268,78 @@ def test_log_probe_matches_direct_second_difference():
             lambda p: model.log_density(p), witness.x, witness.y,
             witness.direction, witness.step)
         assert float(direct) == pytest.approx(witness.margin, rel=1e-12)
+
+
+# ------------------------------------------ shared grid evaluator
+
+
+def _per_shift_verdict(cells, kind, tol, cap):
+    """(points_checked, violation_count, [(position, margin)]) from the
+    per-shift oracle cells, witnesses ranked as the probe ranks them."""
+    kind = PropertyKind(kind)
+    checked = count = 0
+    ranked = []
+    for yi, di, ti, phi_minus, phi_center, phi_plus in cells:
+        margin, _, mask, _ = _margins(kind, phi_minus, phi_center, phi_plus, tol)
+        checked += mask.size
+        count += int(np.count_nonzero(mask))
+        for xi in np.flatnonzero(mask & np.isfinite(margin)).tolist():
+            m = float(margin[xi])
+            ranked.append((-abs(m), (yi, xi, di, ti), m))
+    ranked.sort()
+    return checked, count, [(position, m) for _, position, m in ranked[:cap]]
+
+
+def _kde_2d():
+    rng = np.random.default_rng(130)
+    return kde_log_density(Sample(rng.laplace(size=(30, 2))))
+
+
+@pytest.mark.parametrize("model", [
+    Laplace1D(),
+    Quartic1D(),
+    Gaussian(GaussianParams([0.5], [[2.0]])),
+    Gaussian(GaussianParams([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])),
+    Gaussian(GaussianParams([0.0, 1.0, -1.0], np.diag([1.0, 2.0, 0.5]))),
+    _kde_2d(),
+], ids=["laplace", "quartic", "gaussian-1", "gaussian-2", "gaussian-3", "kde-2"])
+def test_probe_matches_per_shift_oracle(model):
+    grid = ProbeGrid.for_dimension(model.dimension)
+    cells = list(per_shift_log_ratios(model, grid))
+    tol = default_tolerance(model)
+    for kind in PropertyKind:
+        for cap in (64, 3):
+            verdict = probe_property(model, kind, grid, witness_cap=cap)
+            checked, count, expected = _per_shift_verdict(cells, kind, tol, cap)
+            assert verdict.points_checked == checked
+            assert verdict.violation_count == count
+            assert [(w.position, w.margin) for w in verdict.witnesses] == expected
+
+
+def test_probe_calls_stay_within_row_budget():
+    calls = []
+    gaussian = Gaussian(GaussianParams(np.zeros(3), np.eye(3)))
+
+    def batch(points):
+        calls.append(points.shape[0])
+        return gaussian.log_density_many(points)
+
+    model = Custom(3, gaussian.log_density, batch_evaluator=batch)
+    grid = ProbeGrid.for_dimension(3)
+    probe_property(model, "log-convex", grid)
+    # the budget is below the largest per-shift stack of the default grids
+    # (n = 2: (2 + 4 * 30) * 441 rows)
+    assert _ROW_BUDGET <= 53802
+    assert max(calls) <= _ROW_BUDGET
+    # each distinct point once: 343 base points and 9408 distinct shifted
+    # centres, each at itself and at +/- t d for 11 directions x 3 steps
+    assert sum(calls) == (343 + 9408) * 67
+    # a grid whose single (direction, step) block exceeds the budget
+    calls.clear()
+    big = ProbeGrid.for_dimension(3, points=25, y_magnitudes=(0.3,), steps=(0.1,))
+    probe_property(model, "log-convex", big)
+    assert max(calls) <= _ROW_BUDGET
+    assert sum(calls) == (25 ** 3 + 6 * 25 ** 3) * 23
 
 
 # ------------------------------------------------------------- validation
