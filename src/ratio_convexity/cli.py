@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -23,11 +24,13 @@ import sys
 import numpy as np
 
 from . import __version__, kernels
-from .characterize import classify_gaussian, default_fit_lattice, fit_log_quadratic
-from .density import Gaussian, GaussianParams, Laplace1D, Quartic1D
+from .characterize import (classify_gaussian, default_fit_lattice,
+                           eigen_symmetric, fit_log_quadratic)
+from .density import (Custom, Gaussian, GaussianParams, Laplace1D,
+                      LogQuadraticForm, Quartic1D)
 from .errors import (DegenerateSampleError, InconclusiveScanError,
                      ModelContractError, UsageError)
-from .normtest import (MAX_TEST_DIMENSION, Sample, _unit_scaled,
+from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _unit_scaled,
                        default_test_grid, kde_log_density, test_normality)
 from .probe import ProbeGrid, PropertyKind, default_tolerance, probe_property
 from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
@@ -308,24 +311,63 @@ def _run_probe(args):
     return 0
 
 
+def _fit_standardized(model, sample, lattice, fit_tol):
+    """Fit and classify a sample's KDE in standardized coordinates.
+
+    ``lattice`` is laid out in z = (x - mean) / sd per axis, so the
+    residual and the verdict do not depend on the sample's location or
+    scale; the fitted (A, b, c) and the Gaussian are then mapped back to x.
+    Returns the report in x, the mean and the per-axis sd.
+    """
+    n = model.dimension
+    mean, _, cov, exponent = _moments(sample.data)
+    scale = np.ldexp(np.sqrt(np.diagonal(np.atleast_2d(cov))), exponent)
+    standardized = Custom(
+        n, evaluator=lambda z: model.log_density(mean + scale * z),
+        batch_evaluator=lambda z: model.log_density_many(mean + scale * z))
+    fitted = classify_gaussian(
+        fit_log_quadratic(standardized, n, lattice), fit_tol=fit_tol)
+    # log f(x) = -(z'Az)/2 - b'z - c with z = (x - mean) / scale
+    inv = 1.0 / scale
+    a_matrix = fitted.form.A * np.outer(inv, inv)
+    b_scaled = fitted.form.b * inv
+    form = LogQuadraticForm(
+        a_matrix, b_scaled - a_matrix @ mean,
+        fitted.form.c - float(b_scaled @ mean) + 0.5 * float(mean @ a_matrix @ mean))
+    gaussian = None
+    if fitted.gaussian is not None:
+        gaussian = GaussianParams(
+            mean + scale * fitted.gaussian.mean,
+            fitted.gaussian.covariance * np.outer(scale, scale))
+    report = dataclasses.replace(fitted, form=form, gaussian=gaussian,
+                                 spectral=eigen_symmetric(form.A))
+    return report, mean, scale
+
+
 def _run_fit(args):
     model, descriptor, sample = _build_model(args)
     n = model.dimension
-    if descriptor["kind"] == "gaussian":
-        center = np.asarray(descriptor["mean"], dtype=float)
-    elif sample is not None:
-        center = sample.data.mean(axis=0)
-    else:
-        center = None
-    lattice = default_fit_lattice(n, center=center)
-
-    report = fit_log_quadratic(model, n, lattice)
     if args.tol is not None:
         fit_tol = args.tol
     else:
         # KDE log-densities carry smoothing bias; exact models do not
         fit_tol = 0.25 if descriptor["kind"] == "kde" else 1e-6
-    report = classify_gaussian(report, fit_tol=fit_tol)
+    if sample is not None:
+        points = default_fit_lattice(n)
+        report, center, scale = _fit_standardized(model, sample, points, fit_tol)
+    else:
+        center = (np.asarray(descriptor["mean"], dtype=float)
+                  if descriptor["kind"] == "gaussian" else None)
+        points = default_fit_lattice(n, center=center)
+        report = classify_gaussian(fit_log_quadratic(model, n, points),
+                                   fit_tol=fit_tol)
+    lattice = {"points": points.shape[0],
+               "center": (center.tolist() if center is not None
+                          else [0.0] * n),
+               "half_width": 4.0}
+    if sample is not None:
+        # the lattice spans center +- half_width * scale on each axis
+        lattice["scale"] = scale.tolist()
 
     fit_payload = {
         "A": report.form.A.tolist(),
@@ -350,10 +392,7 @@ def _run_fit(args):
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "model": descriptor,
-        "lattice": {"points": lattice.shape[0],
-                    "center": (center.tolist() if center is not None
-                               else [0.0] * n),
-                    "half_width": 4.0},
+        "lattice": lattice,
         "fit": fit_payload,
     }
     _emit(payload, args.output)

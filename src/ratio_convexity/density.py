@@ -85,8 +85,9 @@ class GaussianParams:
 
         eigenvalues, basis = np.linalg.eigh(cov)
         eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
-        floor = 1e-12 * max(1.0, float(eigenvalues[0]))
-        if eigenvalues[-1] <= floor:
+        # relative to the largest eigenvalue, so that a covariance is
+        # accepted or refused alike in any unit
+        if eigenvalues[-1] <= 1e-12 * float(eigenvalues[0]):
             raise UsageError("covariance is not positive definite")
 
         self.mean = mean

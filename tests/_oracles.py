@@ -157,3 +157,59 @@ def per_shift_statistic(model, grid):
         d2 = phi_plus - 2.0 * phi_center + phi_minus
         best = max(best, float(np.max(np.abs(d2))) / (step * step))
     return best
+
+
+def lattice_statistic_loop(log_values, plan):
+    """One sample's lattice statistic, pair by pair with fancy indexing.
+
+    ``log_values`` holds the KDE log-density at ``plan.points`` (one value
+    per lattice point); the statistic is the running max over the plan's
+    (shift, step) pairs of |second difference of log h| / t^2.
+    """
+    d2_at = {}
+    for ot in plan.t_offsets:
+        d2_at[ot] = (log_values[2 * ot:] - 2.0 * log_values[ot:-ot]
+                     + log_values[:-2 * ot])
+    base = plan.pad + np.arange(plan.count)
+    best = 0.0
+    for oy, ot, t in plan.pairs:
+        d2 = d2_at[ot]
+        j = base - ot
+        worst = float(np.max(np.abs(d2[j + oy] - d2[j]))) / (t * t)
+        if worst > best:
+            best = worst
+    return best
+
+
+def lattice_pipeline_loop(data, plan):
+    """Statistic and bandwidth of one 1-D sample on a lattice plan, alone.
+
+    Standardize, Silverman bandwidth of the (m, 1) sample, one kernel call
+    on the lattice, and the pair-by-pair statistic.
+    """
+    from ratio_convexity import kernels, normtest
+
+    z = normtest._standardize(data)
+    bandwidths = normtest._silverman_per_axis(z)
+    log_norm = -(math.log(z.shape[0]) + math.log(float(bandwidths[0]))
+                 + 0.5 * math.log(2.0 * math.pi))
+    log_values = kernels.kde_log_density_batch(
+        plan.points, z, 1.0 / bandwidths, log_norm)
+    return lattice_statistic_loop(log_values, plan), float(bandwidths[0])
+
+
+def per_replicate_statistics(mean, root, m, plan, seed, start, stop):
+    """T* of bootstrap replications start..stop-1 on a 1-D lattice plan.
+
+    The loop the 1-D bootstrap ran before replicates were batched: each
+    replicate is drawn from its own substream and pushed through
+    :func:`lattice_pipeline_loop` on its own.
+    """
+    from ratio_convexity import normtest
+
+    statistics = []
+    for r in range(start, stop):
+        rng = np.random.default_rng(normtest.substream_seed(seed, r))
+        draw = mean + rng.standard_normal((m, mean.shape[0])) @ root
+        statistics.append(lattice_pipeline_loop(draw, plan)[0])
+    return statistics

@@ -184,21 +184,75 @@ def test_fit_kde_sample_has_loose_tolerance(run_cli_json, normal_csv):
     assert payload["command"] == "fit"
 
 
-def test_fit_rejects_overflowing_design(tmp_path):
-    # at sd 1e200 the squared design columns overflow, and LAPACK lstsq did
-    # not return on the inf design; a child interpreter with a timeout
-    # turns such a hang into a failure instead of a stalled suite
-    path = tmp_path / "huge.csv"
-    values = np.random.default_rng(3).standard_normal(200) * 1e200
-    path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+def test_fit_rejects_overflowing_design():
+    # a Gaussian centred at 1e200 puts the fixed lattice at 1e200, whose
+    # squared design columns overflow; LAPACK lstsq did not return on such
+    # an inf design, and a child interpreter with a timeout turns a hang
+    # into a failure instead of a stalled suite.  (--input samples are fit
+    # on a standardized lattice and no longer reach that design.)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
     result = subprocess.run(
-        [sys.executable, "-m", "ratio_convexity.cli", "fit", "--input", str(path)],
+        [sys.executable, "-m", "ratio_convexity.cli", "fit", "--model", "gaussian",
+         "--mu", "1e200"],
         capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 2, result.stderr
     assert "overflow the quadratic design" in result.stderr
+
+
+def test_fit_input_is_location_scale_equivariant(run_cli_json, tmp_path):
+    # the fit lattice spans the sample mean +- 4 sd per axis, so shifting
+    # and rescaling the sample leaves the residual and the verdict alone;
+    # on the fixed +-4 lattice N(5, 1e-3^2) gave a residual of 2.6e4
+    z = np.random.default_rng(4).standard_normal(300)
+    fits = {}
+    for scale in (1e-3, 1.0, 1e3, 1e200):
+        path = tmp_path / f"scaled_{scale:g}.csv"
+        path.write_text("".join(f"{v!r}\n" for v in (5.0 + scale * z).tolist()))
+        payload = run_cli_json(["fit", "--input", str(path)])
+        assert payload["lattice"]["scale"][0] == pytest.approx(scale * np.std(z, ddof=1),
+                                                               rel=1e-12)
+        fits[scale] = payload["fit"]
+    reference = fits[1.0]
+    for scale, fit in fits.items():
+        assert fit["residual_max"] == pytest.approx(reference["residual_max"], rel=1e-9)
+        assert fit["failure_reason"] == reference["failure_reason"]
+        assert fit["gaussian"] == reference["gaussian"]
+    assert fits[1e-3]["A"][0][0] == pytest.approx(1e6 * reference["A"][0][0], rel=1e-6)
+
+
+def test_fit_input_maps_the_gaussian_back(run_cli_json, tmp_path):
+    # a tolerance loose enough to accept the KDE fit: (A, b, c), the mean
+    # and the covariance are reported in the sample's own coordinates
+    z = np.random.default_rng(5).standard_normal(400)
+    payloads = {}
+    for scale in (1.0, 1e-3):
+        path = tmp_path / f"scaled_{scale:g}.csv"
+        path.write_text("".join(f"{v!r}\n" for v in (5.0 + scale * z).tolist()))
+        payloads[scale] = run_cli_json(["fit", "--input", str(path), "--tol", "10"])
+    unit, small = payloads[1.0]["fit"], payloads[1e-3]["fit"]
+    assert (small["gaussian"]["mean"][0] - 5.0) == pytest.approx(
+        1e-3 * (unit["gaussian"]["mean"][0] - 5.0), rel=1e-6)
+    assert small["gaussian"]["covariance"][0][0] == pytest.approx(
+        1e-6 * unit["gaussian"]["covariance"][0][0], rel=1e-9)
+    # the form in x is the reported Gaussian's exponent: A is its precision
+    # and -b / A its mean; at the sample mean, log f is 1000 times the
+    # density (log 1000 higher) at the smaller scale
+    at_mean = {}
+    for scale, payload in payloads.items():
+        fit, x = payload["fit"], payload["lattice"]["center"][0]
+        assert fit["A"][0][0] * fit["gaussian"]["covariance"][0][0] == pytest.approx(1.0, rel=1e-12)
+        assert -fit["b"][0] / fit["A"][0][0] == pytest.approx(fit["gaussian"]["mean"][0], rel=1e-12)
+        at_mean[scale] = -(0.5 * fit["A"][0][0] * x * x + fit["b"][0] * x + fit["c"])
+    assert at_mean[1e-3] - at_mean[1.0] == pytest.approx(math.log(1e3), abs=1e-6)
+
+    # a covariance of 1e-14 is a Gaussian too, not refused by an absolute floor
+    path = tmp_path / "scaled_1e-07.csv"
+    path.write_text("".join(f"{v!r}\n" for v in (5.0 + 1e-7 * z).tolist()))
+    tiny = run_cli_json(["fit", "--input", str(path), "--tol", "10"])["fit"]["gaussian"]
+    assert tiny["covariance"][0][0] == pytest.approx(
+        1e-14 * unit["gaussian"]["covariance"][0][0], rel=1e-6)
 
 
 # ------------------------------------------------------------------- test

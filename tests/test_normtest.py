@@ -12,9 +12,14 @@ from ratio_convexity.normtest import (
     MIN_SAMPLE_SIZE,
     Sample,
     TestReport,
+    _BLOCK_VALUES,
+    _block_statistics,
     _fitted_root,
     _lattice_plan,
+    _lattice_statistic,
     _pipeline_statistic,
+    _replicate_statistics,
+    _silverman_per_axis,
     _standardize,
     bandwidth_silverman,
     default_test_grid,
@@ -31,6 +36,9 @@ from ratio_convexity.probe import ProbeGrid
 from _oracles import (
     adaptive_simpson,
     kde_log_density_naive,
+    lattice_pipeline_loop,
+    lattice_statistic_loop,
+    per_replicate_statistics,
     per_shift_statistic,
     ratio_second_difference,
     splitmix64_reference,
@@ -276,6 +284,68 @@ def test_lattice_and_generic_paths_agree():
         fast, _ = _pipeline_statistic(data, grid, plan)
         slow, _ = _pipeline_statistic(data, grid, None)
         assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def _lattice_samples(m, seed):
+    """Plain, 1e+-200-scaled and mostly tied 1-D samples of size m."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(m)
+    tied = np.round(0.3 * rng.standard_normal(m))
+    return {"plain": 3.0 + 2.0 * z, "big": 1e200 * z, "small": 1e-200 * z,
+            "tied": tied}
+
+
+@pytest.mark.parametrize("m", [20, 200, 500])
+def test_block_bootstrap_equals_per_replicate_oracle(m):
+    grid = default_test_grid(1)
+    plan = _lattice_plan(grid)
+    for name, values in _lattice_samples(m, 100 + m).items():
+        data = values.reshape(-1, 1)
+        statistic, bandwidths = _pipeline_statistic(data, grid, plan)
+        assert (statistic, float(bandwidths[0])) == lattice_pipeline_loop(data, plan), name
+        mean, root = _fitted_root(data)
+        batched = _replicate_statistics(mean, root, m, grid, plan, 9, 1, 41)
+        assert batched.tolist() == per_replicate_statistics(mean, root, m, plan, 9, 1, 41), name
+
+
+def test_block_statistics_equal_one_sample_calls():
+    plan = _lattice_plan(default_test_grid(1))
+    rng = np.random.default_rng(101)
+    samples = [rng.standard_normal(60), rng.laplace(size=60),
+               np.round(0.3 * rng.standard_normal(60)), rng.standard_t(3, size=60)]
+    block = np.asfortranarray(
+        np.column_stack([_standardize(s.reshape(-1, 1))[:, 0] for s in samples]))
+    statistics, bandwidths = _block_statistics(block, plan)
+    for r in range(block.shape[1]):
+        column = block[:, r:r + 1]
+        one_statistic, one_bandwidths = _block_statistics(column, plan)
+        assert statistics[r] == one_statistic[0]
+        assert bandwidths[r] == one_bandwidths[0] == _silverman_per_axis(column)[0]
+
+    # the lattice statistic alone, column by column, against the
+    # pair-by-pair loop; a NaN lattice value is skipped like the loop skips it
+    log_values = np.column_stack([
+        kde_log_density(Sample(s)).log_density_many(plan.points) for s in samples])
+    log_values[plan.pad + 7, 1] = np.nan
+    together = _lattice_statistic(log_values, plan)
+    for r in range(log_values.shape[1]):
+        alone = _lattice_statistic(log_values[:, r:r + 1], plan)
+        assert together[r] == alone[0] == lattice_statistic_loop(log_values[:, r], plan)
+
+
+def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
+    shapes = []
+
+    def recording(columns, plan):
+        shapes.append(columns.shape)
+        return _block_statistics(columns, plan)
+
+    monkeypatch.setattr(normtest, "_block_statistics", recording)
+    data = np.random.default_rng(102).standard_normal(5000)
+    monte_carlo_pvalue(Sample(data), reps=99, seed=2)
+    # the observed sample, then 99 replicates in blocks of 65536 // 5000
+    assert shapes == [(5000, 1)] + [(5000, 13)] * 7 + [(5000, 8)]
+    assert all(m * width <= _BLOCK_VALUES for m, width in shapes)
 
 
 def test_non_lattice_steps_fall_back():
