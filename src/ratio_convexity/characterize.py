@@ -224,7 +224,8 @@ def classify_gaussian(report, fit_tol=1e-6, pd_tol=None):
         raise UsageError("fit_tol must be positive and finite")
     eigenvalues = report.spectral.eigenvalues
     if pd_tol is None:
-        pd_tol = 1e-10 * max(1.0, float(eigenvalues[0]))
+        # relative, so that a wide Gaussian is not called flat
+        pd_tol = 1e-10 * float(eigenvalues[0])
 
     if report.residual_max > fit_tol:
         return dataclasses.replace(

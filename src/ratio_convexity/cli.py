@@ -173,11 +173,11 @@ def _probe_grid(args, model, sample):
         scale = float(sd.mean())
         if not (np.all(sd > 0) and np.isfinite(scale)):
             raise DegenerateSampleError("sample has an axis with zero spread")
+        default = ProbeGrid.for_dimension(n)
         x_range = tuple(
             (float(mean[j] - 4.0 * sd[j]), float(mean[j] + 4.0 * sd[j]),
-             ProbeGrid.for_dimension(n).x_range[j][2])
+             default.x_range[j][2])
             for j in range(n))
-        default = ProbeGrid.for_dimension(n)
         grid = ProbeGrid(
             x_range=x_range,
             y_set=tuple(y * scale for y in default.y_set),
@@ -328,17 +328,22 @@ def _fit_standardized(model, sample, lattice, fit_tol):
     fitted = classify_gaussian(
         fit_log_quadratic(standardized, n, lattice), fit_tol=fit_tol)
     # log f(x) = -(z'Az)/2 - b'z - c with z = (x - mean) / scale
-    inv = 1.0 / scale
-    a_matrix = fitted.form.A * np.outer(inv, inv)
-    b_scaled = fitted.form.b * inv
-    form = LogQuadraticForm(
-        a_matrix, b_scaled - a_matrix @ mean,
-        fitted.form.c - float(b_scaled @ mean) + 0.5 * float(mean @ a_matrix @ mean))
-    gaussian = None
-    if fitted.gaussian is not None:
-        gaussian = GaussianParams(
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / scale
+        a_matrix = fitted.form.A * np.outer(inv, inv)
+        b_scaled = fitted.form.b * inv
+        coefficients = (a_matrix, b_scaled - a_matrix @ mean,
+                        fitted.form.c - float(b_scaled @ mean)
+                        + 0.5 * float(mean @ a_matrix @ mean))
+        moments = () if fitted.gaussian is None else (
             mean + scale * fitted.gaussian.mean,
             fitted.gaussian.covariance * np.outer(scale, scale))
+    if not all(np.all(np.isfinite(v)) for v in coefficients + moments):
+        raise UsageError(
+            f"the fit at sample scale {', '.join(f'{v:.3g}' for v in scale)} "
+            "cannot be reported: its form or Gaussian leaves double range")
+    form = LogQuadraticForm(*coefficients)
+    gaussian = GaussianParams(*moments) if moments else None
     report = dataclasses.replace(fitted, form=form, gaussian=gaussian,
                                  spectral=eigen_symmetric(form.A))
     return report, mean, scale

@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .density import Custom
 from .errors import DegenerateSampleError, UsageError
-from .probe import ProbeGrid, _log_ratio_blocks
+from .probe import ProbeGrid, _GridPlan, _grid_plan, _log_ratio_blocks
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -61,8 +61,8 @@ _MASK64 = (1 << 64) - 1
 #: full precision; outside, the moments are formed on a rescaled copy
 _MIN_SD = 2.0 ** -300
 _MAX_SD = 2.0 ** 300
-#: most sample values in one block of 1-D bootstrap replicates (m x R, one
-#: replicate per column): 327 columns at m=200, 13 at m=5000
+#: most sample values in one block of bootstrap replicates (m x n x R, one
+#: replicate per last index): 327 replicates at m=200 in 1-D, 13 at m=5000
 _BLOCK_VALUES = 1 << 16
 
 
@@ -231,9 +231,13 @@ def violation_statistic(model, grid=None):
         raise UsageError(
             f"grid dimension {grid.dimension} does not match model dimension "
             f"{model.dimension}")
+    return _grid_statistic(model, _grid_plan(grid))
+
+
+def _grid_statistic(model, plan):
     best = 0.0
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, grid):
-        step = grid.steps[block % len(grid.steps)]
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, plan):
+        step = plan.steps[block % len(plan.steps)]
         d2 = phi_plus - 2.0 * phi_center + phi_minus
         worst = float(np.max(np.abs(d2))) / (step * step)
         if worst > best:
@@ -255,9 +259,8 @@ class _LatticePlan:
 
 
 def _lattice_plan(grid):
+    # ProbeGrid keeps |d| within 1e-12 of 1
     if grid.dimension != 1 or len(grid.directions) != 1:
-        return None
-    if abs(abs(float(grid.directions[0][0])) - 1.0) > 1e-12:
         return None
     lo, hi, count = grid.x_range[0]
     spacing = (hi - lo) / (count - 1)
@@ -311,15 +314,27 @@ def _lattice_statistic(log_values, plan):
     return best
 
 
-def _block_statistics(columns, plan):
-    """Bandwidths and lattice statistics of standardized 1-D samples.
+def _block_statistics(block, plan):
+    """Statistics (R,) and bandwidths (R, n) of R standardized samples.
 
-    ``columns`` is a Fortran-ordered (m, R) array with one sample per
-    column, so that each column's reductions in the Silverman rule run over
-    contiguous values in the same order as for that sample alone: every
-    bandwidth and statistic is bit-identical to a one-sample call.  The
-    kernel still sees one sample and the 1-D lattice per call.
+    ``block`` is a Fortran-ordered (m, n, R) array, one sample per last
+    index.  On a 1-D lattice plan its (m, R) columns pass the Silverman
+    rule at once, each column's reductions running over contiguous values
+    in the same order as for that sample alone, and the kernel sees one
+    sample and the lattice per call.  On a grid plan each sample passes
+    bandwidth, KDE and grid statistic alone, copied back to C order: numpy
+    reduces the columns of a Fortran-ordered (m, n) sample in another
+    order, which changes the last bits of the n-D bandwidths.
     """
+    if isinstance(plan, _GridPlan):
+        statistics, bandwidths = [], []
+        for r in range(block.shape[2]):
+            z = np.ascontiguousarray(block[:, :, r])
+            bandwidths.append(_silverman_per_axis(z))
+            model = kde_log_density(Sample(z, min_count=2), bandwidths[-1])
+            statistics.append(_grid_statistic(model, plan))
+        return np.array(statistics), np.array(bandwidths)
+    columns = block[:, 0, :]
     m, width = columns.shape
     bandwidths = _silverman_per_axis(columns)
     inv = 1.0 / bandwidths
@@ -328,7 +343,7 @@ def _block_statistics(columns, plan):
         log_norm = -(math.log(m) + math.log(float(bandwidths[r])) + 0.5 * _LOG_2PI)
         log_values[:, r] = kernels.kde_log_density_batch(
             plan.points, columns[:, r:r + 1], inv[r:r + 1], log_norm)
-    return _lattice_statistic(log_values, plan), bandwidths
+    return _lattice_statistic(log_values, plan), bandwidths[:, None]
 
 
 def _covariance(centered):
@@ -384,19 +399,12 @@ def _standardize(data):
     return centered @ whiten
 
 
-def _pipeline_statistic(data, grid, plan):
-    """Standardize -> bandwidth -> KDE -> statistic of one sample.
-
-    On a 1-D lattice plan the sample is a one-column block of the code the
-    bootstrap replicates pass through in blocks.
-    """
+def _pipeline_statistic(data, plan):
+    """Standardize -> bandwidth -> KDE -> statistic of one sample, as a
+    one-sample block of the code the bootstrap replicates pass through."""
     z = _standardize(data)
-    if plan is not None:
-        statistics, bandwidths = _block_statistics(np.asfortranarray(z), plan)
-        return float(statistics[0]), bandwidths
-    bandwidths = _silverman_per_axis(z)
-    model = kde_log_density(Sample(z, min_count=2), bandwidths)
-    return violation_statistic(model, grid), bandwidths
+    statistics, bandwidths = _block_statistics(np.asfortranarray(z[:, :, None]), plan)
+    return float(statistics[0]), bandwidths[0]
 
 
 def _draw(mean, root, m, seed, index):
@@ -406,36 +414,22 @@ def _draw(mean, root, m, seed, index):
     return mean + rng.standard_normal((m, mean.shape[0])) @ root
 
 
-def _replicate_statistics(mean, root, m, grid, plan, seed, start, stop):
+def _replicate_statistics(mean, root, m, plan, seed, start, stop):
     """T* of replications start, ..., stop - 1, in order.
 
-    On a 1-D lattice plan the standardized replicates are gathered as the
-    columns of blocks of at most _BLOCK_VALUES values (one column when m
-    exceeds it), and each block passes the bandwidth rule and the lattice
-    statistic once.
+    The standardized replicates are gathered into blocks of at most
+    _BLOCK_VALUES values (one replicate when m n exceeds it), and each
+    block passes :func:`_block_statistics` once.
     """
-    if plan is None:
-        return np.array([
-            _pipeline_statistic(_draw(mean, root, m, seed, r), grid, None)[0]
-            for r in range(start, stop)])
-    width = max(1, _BLOCK_VALUES // m)
+    width = max(1, _BLOCK_VALUES // (m * mean.shape[0]))
     statistics = np.empty(stop - start)
     for lo in range(start, stop, width):
         hi = min(lo + width, stop)
-        block = np.empty((m, hi - lo), order="F")
+        block = np.empty((m, mean.shape[0], hi - lo), order="F")
         for r in range(lo, hi):
-            block[:, r - lo] = _standardize(_draw(mean, root, m, seed, r))[:, 0]
+            block[:, :, r - lo] = _standardize(_draw(mean, root, m, seed, r))
         statistics[lo - start:hi - start], _ = _block_statistics(block, plan)
     return statistics
-
-
-def _replication_count(payload):
-    *replications, t_obs = payload
-    return int(np.count_nonzero(_replicate_statistics(*replications) >= t_obs))
-
-
-def _pvalue(count_at_least, reps):
-    return (1.0 + count_at_least) / (reps + 1.0)
 
 
 def pvalue_from_replicates(t_observed, t_replicates):
@@ -444,7 +438,7 @@ def pvalue_from_replicates(t_observed, t_replicates):
     if t_replicates.ndim != 1 or t_replicates.size == 0:
         raise UsageError("t_replicates must be a nonempty vector")
     count = int(np.count_nonzero(t_replicates >= float(t_observed)))
-    return _pvalue(count, t_replicates.size)
+    return (1.0 + count) / (t_replicates.size + 1.0)
 
 
 def _fitted_root(data):
@@ -489,24 +483,22 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     if grid.dimension != n:
         raise UsageError("grid dimension does not match the sample")
 
-    plan = _lattice_plan(grid)
+    plan = _lattice_plan(grid) or _grid_plan(grid)
     data = sample.data
-    t_obs, bandwidths = _pipeline_statistic(data, grid, plan)
+    t_obs, bandwidths = _pipeline_statistic(data, plan)
     mean, root = _fitted_root(data)
 
     budget = min(thread_budget(), reps, os.cpu_count() or 1)
+    bounds = np.linspace(1, reps + 1, budget + 1).astype(int)
+    payloads = [(mean, root, sample.count, plan, seed, int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if budget > 1:
-        bounds = np.linspace(1, reps + 1, budget + 1).astype(int)
-        payloads = [(mean, root, sample.count, grid, plan, seed,
-                     int(lo), int(hi), t_obs)
-                    for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            count = sum(pool.map(_replication_count, payloads))
+            batches = list(pool.map(_replicate_statistics, *zip(*payloads)))
     else:
-        count = _replication_count(
-            (mean, root, sample.count, grid, plan, seed, 1, reps + 1, t_obs))
+        batches = [_replicate_statistics(*payload) for payload in payloads]
 
-    p_value = _pvalue(count, reps)
+    p_value = pvalue_from_replicates(t_obs, np.concatenate(batches))
     bandwidth = float(bandwidths[0]) if n == 1 else tuple(float(h) for h in bandwidths)
     decisions = tuple((a, p_value <= a) for a in alphas)
     return TestReport(statistic=float(t_obs), p_value=float(p_value),

@@ -309,43 +309,61 @@ def _log_density_rows(model, points):
         for start in range(0, points.shape[0], _ROW_BUDGET)])
 
 
-def _log_ratio_blocks(model, grid):
-    """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a probe grid.
+@dataclass(frozen=True, eq=False)
+class _GridPlan:
+    """A probe grid laid out for evaluation, built once per grid.
 
-    Block ``b`` pairs direction ``b // len(grid.steps)`` with step
-    ``grid.steps[b % len(grid.steps)]``.  Each phi array has shape
-    (shifts, base points) and holds phi = log f(. + y) - log f(.) at
-    x - t d, x and x + t d.  log f is evaluated once per distinct point:
-    x and x +/- t d once for all shifts, and the shifted centres x + y once
-    per distinct bit pattern, so shifts that land on the same lattice point
-    share their evaluations.  Every point is the float the per-shift stack
-    ``x + y - t d`` would give, so the phi values do not depend on how the
-    rows are grouped into calls.
+    ``anchors`` stacks the base points x and then the distinct shifted
+    centres x + y (one per bit pattern, so shifts that land on the same
+    lattice point share their evaluations); ``rows[yi]`` picks shift yi's
+    centres out of them.  ``deltas[b]`` holds -t d and +t d for block b,
+    which pairs direction ``b // len(steps)`` with step ``steps[b % len(steps)]``.
     """
+
+    base: np.ndarray
+    anchors: np.ndarray
+    rows: np.ndarray
+    deltas: np.ndarray
+    steps: tuple
+
+
+def _grid_plan(grid):
     base = grid.base_points()
     k, n = base.shape
     shifted = (base + np.asarray(grid.y_set)[:, None, :]).reshape(-1, n)
     _, first, inverse = np.unique(shifted.view(np.int64), axis=0,
                                   return_index=True, return_inverse=True)
-    rows = inverse.reshape(len(grid.y_set), k)
-    # x, then the distinct x + y; every block evaluates these at -/+ t d
-    anchors = np.vstack((base, shifted[first]))
-    head = _log_density_rows(model, anchors)
-    phi_center = head[k:][rows] - head[:k]
-
     offsets = np.array([step * direction
                         for direction in grid.directions for step in grid.steps])
     # x - t d is computed as x + (-t d): the same float
-    deltas = np.stack((-offsets, offsets), axis=1)[:, :, None, :]
-    width = anchors.shape[0]
+    return _GridPlan(base=base, anchors=np.vstack((base, shifted[first])),
+                     rows=inverse.reshape(len(grid.y_set), k),
+                     deltas=np.stack((-offsets, offsets), axis=1)[:, :, None, :],
+                     steps=grid.steps)
+
+
+def _log_ratio_blocks(model, plan):
+    """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a grid plan.
+
+    Each phi array has shape (shifts, base points) and holds
+    phi = log f(. + y) - log f(.) at x - t d, x and x + t d.  log f is
+    evaluated once per distinct point: the anchors once, and each anchor
+    at -/+ t d once per block.  Every point is the float the per-shift
+    stack ``x + y - t d`` would give, so the phi values do not depend on
+    how the rows are grouped into calls.
+    """
+    k, n = plan.base.shape
+    head = _log_density_rows(model, plan.anchors)
+    phi_center = head[k:][plan.rows] - head[:k]
+    width = plan.anchors.shape[0]
     per_call = max(1, _ROW_BUDGET // (2 * width))
-    for start in range(0, len(deltas), per_call):
-        chunk = deltas[start:start + per_call]
-        values = _log_density_rows(model, (anchors + chunk).reshape(-1, n))
+    for start in range(0, len(plan.deltas), per_call):
+        chunk = plan.deltas[start:start + per_call]
+        values = _log_density_rows(model, (plan.anchors + chunk).reshape(-1, n))
         for block, (minus, plus) in enumerate(
                 values.reshape(len(chunk), 2, width), start):
-            yield (block, minus[k:][rows] - minus[:k], phi_center,
-                   plus[k:][rows] - plus[:k])
+            yield (block, minus[k:][plan.rows] - minus[:k], phi_center,
+                   plus[k:][plan.rows] - plus[:k])
 
 
 def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
@@ -369,14 +387,15 @@ def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
     if witness_cap < 1:
         raise UsageError("witness_cap must be at least 1")
 
-    base = grid.base_points()
+    plan = _grid_plan(grid)
+    base = plan.base
     k = base.shape[0]
     candidates = []
     points_checked = 0
     violation_count = 0
     sort_key = lambda entry: (-abs(entry[0]), entry[1])
 
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, grid):
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, plan):
         di, ti = divmod(block, len(grid.steps))
         margin, tol_used, mask, triple_values = _margins(
             kind, phi_minus, phi_center, phi_plus, tol)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,14 @@ def test_fit_gaussian_full_covariance(run_cli_json):
     np.testing.assert_allclose(covariance, [[2.0, 0.5], [0.5, 1.0]], rtol=1e-8)
 
 
+def test_fit_wide_gaussian_is_integrable(run_cli_json):
+    # the curvature 1e-11 is far above rounding; a positive-definiteness
+    # floor that was absolute below 1 called this Gaussian non-integrable
+    fit = run_cli_json(["fit", "--model", "gaussian", "--sigma", "1e11"])["fit"]
+    assert fit["failure_reason"] is None
+    assert fit["gaussian"]["covariance"][0][0] == pytest.approx(1e11, rel=1e-3)
+
+
 def test_fit_laplace_is_rejected(run_cli_json):
     payload = run_cli_json(["fit", "--model", "laplace"])
     fit = payload["fit"]
@@ -253,6 +262,23 @@ def test_fit_input_maps_the_gaussian_back(run_cli_json, tmp_path):
     tiny = run_cli_json(["fit", "--input", str(path), "--tol", "10"])["fit"]["gaussian"]
     assert tiny["covariance"][0][0] == pytest.approx(
         1e-14 * unit["gaussian"]["covariance"][0][0], rel=1e-6)
+
+
+@pytest.mark.parametrize("scale, flags", [(1e-200, []), (1e200, ["--tol", "10"])])
+def test_fit_input_out_of_double_range_is_refused(run_cli, capsys, tmp_path,
+                                                  scale, flags):
+    # at sd 1e-200 the precision A in x is 1e400; at 1e200 an accepted
+    # fit's covariance is 1e400: refused in words, with no overflow warning
+    z = np.random.default_rng(5).standard_normal(400)
+    path = tmp_path / "far.csv"
+    path.write_text("".join(f"{v!r}\n" for v in (scale * z).tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["fit", "--input", str(path)] + flags)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the fit at sample scale {scale * np.std(z, ddof=1):.3g} ")
+    assert "leaves double range" in err
 
 
 # ------------------------------------------------------------------- test

@@ -31,13 +31,14 @@ from ratio_convexity.normtest import (
     thread_budget,
     violation_statistic,
 )
-from ratio_convexity.probe import ProbeGrid
+from ratio_convexity.probe import ProbeGrid, _grid_plan
 
 from _oracles import (
     adaptive_simpson,
     kde_log_density_naive,
     lattice_pipeline_loop,
     lattice_statistic_loop,
+    per_replicate_grid_statistics,
     per_replicate_statistics,
     per_shift_statistic,
     ratio_second_difference,
@@ -281,8 +282,8 @@ def test_lattice_and_generic_paths_agree():
     plan = _lattice_plan(grid)
     for _ in range(3):
         data = rng.standard_normal((40, 1))
-        fast, _ = _pipeline_statistic(data, grid, plan)
-        slow, _ = _pipeline_statistic(data, grid, None)
+        fast, _ = _pipeline_statistic(data, plan)
+        slow, _ = _pipeline_statistic(data, _grid_plan(grid))
         assert fast == pytest.approx(slow, rel=1e-9)
 
 
@@ -301,10 +302,10 @@ def test_block_bootstrap_equals_per_replicate_oracle(m):
     plan = _lattice_plan(grid)
     for name, values in _lattice_samples(m, 100 + m).items():
         data = values.reshape(-1, 1)
-        statistic, bandwidths = _pipeline_statistic(data, grid, plan)
+        statistic, bandwidths = _pipeline_statistic(data, plan)
         assert (statistic, float(bandwidths[0])) == lattice_pipeline_loop(data, plan), name
         mean, root = _fitted_root(data)
-        batched = _replicate_statistics(mean, root, m, grid, plan, 9, 1, 41)
+        batched = _replicate_statistics(mean, root, m, plan, 9, 1, 41)
         assert batched.tolist() == per_replicate_statistics(mean, root, m, plan, 9, 1, 41), name
 
 
@@ -314,13 +315,13 @@ def test_block_statistics_equal_one_sample_calls():
     samples = [rng.standard_normal(60), rng.laplace(size=60),
                np.round(0.3 * rng.standard_normal(60)), rng.standard_t(3, size=60)]
     block = np.asfortranarray(
-        np.column_stack([_standardize(s.reshape(-1, 1))[:, 0] for s in samples]))
+        np.stack([_standardize(s.reshape(-1, 1)) for s in samples], axis=2))
     statistics, bandwidths = _block_statistics(block, plan)
-    for r in range(block.shape[1]):
-        column = block[:, r:r + 1]
+    for r in range(block.shape[2]):
+        column = block[:, :, r:r + 1]
         one_statistic, one_bandwidths = _block_statistics(column, plan)
         assert statistics[r] == one_statistic[0]
-        assert bandwidths[r] == one_bandwidths[0] == _silverman_per_axis(column)[0]
+        assert bandwidths[r, 0] == one_bandwidths[0, 0] == _silverman_per_axis(column[:, 0])[0]
 
     # the lattice statistic alone, column by column, against the
     # pair-by-pair loop; a NaN lattice value is skipped like the loop skips it
@@ -336,16 +337,50 @@ def test_block_statistics_equal_one_sample_calls():
 def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
     shapes = []
 
-    def recording(columns, plan):
-        shapes.append(columns.shape)
-        return _block_statistics(columns, plan)
+    def recording(block, plan):
+        shapes.append(block.shape)
+        return _block_statistics(block, plan)
 
     monkeypatch.setattr(normtest, "_block_statistics", recording)
     data = np.random.default_rng(102).standard_normal(5000)
     monte_carlo_pvalue(Sample(data), reps=99, seed=2)
     # the observed sample, then 99 replicates in blocks of 65536 // 5000
-    assert shapes == [(5000, 1)] + [(5000, 13)] * 7 + [(5000, 8)]
-    assert all(m * width <= _BLOCK_VALUES for m, width in shapes)
+    assert shapes == [(5000, 1, 1)] + [(5000, 1, 13)] * 7 + [(5000, 1, 8)]
+    assert all(m * n * width <= _BLOCK_VALUES for m, n, width in shapes)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_grid_block_bootstrap_equals_per_replicate_oracle(monkeypatch, dimension):
+    data = np.random.default_rng(103).laplace(size=(20, dimension))
+    grid = default_test_grid(dimension)
+    mean, root = _fitted_root(data)
+    expected = per_replicate_grid_statistics(mean, root, 20, grid, 9, 1, 6)
+    assert _replicate_statistics(mean, root, 20, _grid_plan(grid), 9, 1, 6).tolist() == expected
+    # two replicates per block: the last block is partial
+    monkeypatch.setattr(normtest, "_BLOCK_VALUES", 2 * 20 * dimension)
+    assert _replicate_statistics(mean, root, 20, _grid_plan(grid), 9, 1, 6).tolist() == expected
+
+
+def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
+    calls, shapes = [], []
+    base_points = ProbeGrid.base_points
+
+    def counting(grid):
+        calls.append(grid)
+        return base_points(grid)
+
+    def recording(block, plan):
+        shapes.append(block.shape)
+        return _block_statistics(block, plan)
+
+    monkeypatch.setattr(ProbeGrid, "base_points", counting)
+    monkeypatch.setattr(normtest, "_block_statistics", recording)
+    monkeypatch.setattr(normtest, "_BLOCK_VALUES", 40 * 20 * 2)
+    data = np.random.default_rng(104).standard_normal((20, 2))
+    monte_carlo_pvalue(Sample(data), reps=99, seed=2)
+    assert len(calls) == 1
+    assert shapes == [(20, 2, 1), (20, 2, 40), (20, 2, 40), (20, 2, 19)]
+    assert all(m * n * width <= normtest._BLOCK_VALUES for m, n, width in shapes)
 
 
 def test_non_lattice_steps_fall_back():
@@ -397,8 +432,8 @@ def test_statistic_is_location_scale_invariant_1d():
     data = rng.standard_normal((50, 1))
     grid = default_test_grid(1)
     plan = _lattice_plan(grid)
-    base, _ = _pipeline_statistic(data, grid, plan)
-    moved, _ = _pipeline_statistic(3.0 * data - 7.0, grid, plan)
+    base, _ = _pipeline_statistic(data, plan)
+    moved, _ = _pipeline_statistic(3.0 * data - 7.0, plan)
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -463,33 +498,49 @@ def test_parallel_workers_match_serial(monkeypatch):
     assert parallel.p_value == serial.p_value
 
 
+class _RecordingPool:
+    """In-process stand-in for the worker pool: records the worker count
+    and runs the batches serially, so no process is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, function, *iterables):
+        return map(function, *iterables)
+
+
 def test_workers_are_bounded_by_core_count(monkeypatch):
-    # an in-process stand-in for the pool: records the worker count and
-    # runs the batches serially, so no process is started
-    class RecordingPool:
-        max_workers = []
-
-        def __init__(self, max_workers):
-            self.max_workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, function, payloads):
-            return map(function, payloads)
-
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
     data = np.random.default_rng(13).standard_normal((40, 1))
     monkeypatch.delenv("RATIO_CONVEXITY_THREADS", raising=False)
     serial = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
-    monkeypatch.setattr(normtest, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(normtest, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(normtest.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("RATIO_CONVEXITY_THREADS", "64")
     bounded = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
-    assert RecordingPool.max_workers == [2]
+    assert _RecordingPool.max_workers == [2]
     assert bounded.p_value == serial.p_value
+
+
+def test_grid_workers_match_serial(monkeypatch):
+    data = np.random.default_rng(105).laplace(size=(20, 2))
+    monkeypatch.delenv("RATIO_CONVEXITY_THREADS", raising=False)
+    serial = monte_carlo_pvalue(Sample(data), reps=99, seed=6)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(normtest, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(normtest.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("RATIO_CONVEXITY_THREADS", "3")
+    pooled = monte_carlo_pvalue(Sample(data), reps=99, seed=6)
+    assert _RecordingPool.max_workers == [3]
+    assert (pooled.statistic, pooled.p_value) == (serial.statistic, serial.p_value)
 
 
 def test_monte_carlo_validates_arguments():
