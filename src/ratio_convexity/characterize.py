@@ -75,6 +75,9 @@ class FitReport:
 
     ``gaussian`` is populated by :func:`classify_gaussian` when the fit is
     both tight and positive definite; ``failure_reason`` explains why not.
+    ``curvature_noise`` bounds the curvature that rounding of the fitted
+    log f values alone can put into the spectrum, in the coordinates of
+    the fit points.
     """
 
     form: "LogQuadraticForm"
@@ -83,6 +86,7 @@ class FitReport:
     spectral: SpectralDecomposition
     gaussian: GaussianParams | None = None
     failure_reason: str | None = None
+    curvature_noise: float = 0.0
 
 
 def monomial_names(dimension):
@@ -188,6 +192,12 @@ def fit_log_quadratic(logf, dimension, sample_points):
     residuals = design @ coef - values
     residual_max = float(np.max(np.abs(residuals)))
     residual_rms = float(np.sqrt(np.mean(residuals ** 2)))
+    # rounding of values near max|log f| moves the fitted curvature by about
+    # eps max|log f| / half_width^2; 64 leaves headroom over the 1.5x-7.6x
+    # measured for constant log f
+    half_width = 0.5 * float(np.max(np.ptp(points, axis=0)))
+    curvature_noise = (64.0 * np.finfo(float).eps
+                       * float(np.max(np.abs(values))) / half_width ** 2)
 
     # log f = -x'Ax/2 - b'x - c, so design coefficients carry opposite signs
     a_matrix = np.zeros((dimension, dimension))
@@ -207,15 +217,18 @@ def fit_log_quadratic(logf, dimension, sample_points):
     form = LogQuadraticForm(a_matrix, b_vector, c_scalar)
     spectral = eigen_symmetric(form.A)
     return FitReport(form=form, residual_max=residual_max,
-                     residual_rms=residual_rms, spectral=spectral)
+                     residual_rms=residual_rms, spectral=spectral,
+                     curvature_noise=curvature_noise)
 
 
 def classify_gaussian(report, fit_tol=1e-6, pd_tol=None):
     """Decide whether a fitted form is a Gaussian exponent.
 
     Gaussian requires both a tight fit (``residual_max <= fit_tol``) and a
-    positive-definite curvature spectrum; the returned report carries either
-    the recovered parameters or a failure reason.
+    positive-definite curvature spectrum: every eigenvalue above ``pd_tol``,
+    by default the larger of the report's ``curvature_noise`` and 1e-10
+    times the largest eigenvalue.  The returned report carries either the
+    recovered parameters or a failure reason.
     """
     if not isinstance(report, FitReport):
         raise UsageError("classify_gaussian expects a FitReport")
@@ -224,8 +237,9 @@ def classify_gaussian(report, fit_tol=1e-6, pd_tol=None):
         raise UsageError("fit_tol must be positive and finite")
     eigenvalues = report.spectral.eigenvalues
     if pd_tol is None:
-        # relative, so that a wide Gaussian is not called flat
-        pd_tol = 1e-10 * float(eigenvalues[0])
+        # relative, so that a wide Gaussian is not called flat, and above
+        # rounding, so that a flat log f is not called a wide Gaussian
+        pd_tol = max(report.curvature_noise, 1e-10 * float(eigenvalues[0]))
 
     if report.residual_max > fit_tol:
         return dataclasses.replace(
@@ -237,7 +251,8 @@ def classify_gaussian(report, fit_tol=1e-6, pd_tol=None):
         return dataclasses.replace(
             report, gaussian=None,
             failure_reason=(f"log-quadratic but not integrable: smallest "
-                            f"curvature eigenvalue {smallest:.3e} is not positive"))
+                            f"curvature eigenvalue {smallest:.3e} does not exceed "
+                            f"pd_tol {pd_tol:.3e}"))
 
     basis = report.spectral.eigenvectors
     covariance = basis @ np.diag(1.0 / eigenvalues) @ basis.T

@@ -9,10 +9,14 @@ parametric bootstrap: refit a Gaussian, replicate, recompute the statistic
 through the identical pipeline, and rank the observed value.
 
 Samples are standardized (mean removed, covariance whitened) before the
-bandwidth and the KDE are formed, so in one dimension the statistic is
-exactly location-scale invariant and the bootstrap p-value is exactly
-calibrated; in higher dimensions a data-dependent rotation remains and the
-calibration is approximate in the same way the statistic is.
+bandwidth and the KDE are formed, so the statistic does not change when a
+sample is shifted or scaled.  The bootstrap therefore draws around 0, at
+unit scale, from the shape of the fitted covariance alone.  In one
+dimension that shape is 1, so the null is the standard normal: T* depends
+only on the sample size, the replication count, the seed and the grid,
+and the test is an exact Monte Carlo test of a pivotal statistic.  In
+higher dimensions a data-dependent rotation remains and the calibration is
+approximate in the same way the statistic is.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ _MASK64 = (1 << 64) - 1
 #: full precision; outside, the moments are formed on a rescaled copy
 _MIN_SD = 2.0 ** -300
 _MAX_SD = 2.0 ** 300
-#: most sample values in one block of bootstrap replicates (m x n x R, one
-#: replicate per last index): 327 replicates at m=200 in 1-D, 13 at m=5000
+#: most sample values in one block of bootstrap replicates (R x m x n, one
+#: replicate per first index): 327 replicates at m=200 in 1-D, 13 at m=5000
 _BLOCK_VALUES = 1 << 16
 
 
@@ -231,12 +235,12 @@ def violation_statistic(model, grid=None):
         raise UsageError(
             f"grid dimension {grid.dimension} does not match model dimension "
             f"{model.dimension}")
-    return _grid_statistic(model, _grid_plan(grid))
+    return _grid_statistic(model.log_density_many, _grid_plan(grid))
 
 
-def _grid_statistic(model, plan):
+def _grid_statistic(log_f, plan):
     best = 0.0
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, plan):
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(log_f, plan):
         step = plan.steps[block % len(plan.steps)]
         d2 = phi_plus - 2.0 * phi_center + phi_minus
         worst = float(np.max(np.abs(d2))) / (step * step)
@@ -264,25 +268,13 @@ def _lattice_plan(grid):
         return None
     lo, hi, count = grid.x_range[0]
     spacing = (hi - lo) / (count - 1)
-
-    def offset_of(value):
-        steps = int(round(value / spacing))
-        if steps == 0 or abs(steps * spacing - value) > 1e-12 * max(1.0, abs(value)):
-            return None
-        return steps
-
-    t_offsets = []
-    for t in grid.steps:
-        ot = offset_of(t)
-        if ot is None:
-            return None
-        t_offsets.append(ot)
-    y_offsets = []
-    for y in grid.y_set:
-        oy = offset_of(float(y[0]))
-        if oy is None:
-            return None
-        y_offsets.append(oy)
+    values = grid.steps + tuple(float(y[0]) for y in grid.y_set)
+    offsets = [int(round(v / spacing)) for v in values]
+    if any(o == 0 or abs(o * spacing - v) > 1e-12 * max(1.0, abs(v))
+           for o, v in zip(offsets, values)):
+        return None
+    t_offsets = offsets[:len(grid.steps)]
+    y_offsets = offsets[len(grid.steps):]
 
     pad = max(abs(oy) for oy in y_offsets) + max(t_offsets)
     total = count + 2 * pad
@@ -290,7 +282,6 @@ def _lattice_plan(grid):
     pairs = tuple((oy, ot, float(t))
                   for oy in y_offsets
                   for ot, t in zip(t_offsets, grid.steps))
-    # deduplicate (oy, ot) repeats arising from duplicate shifts
     return _LatticePlan(points=points, pad=pad, count=count,
                         pairs=pairs, t_offsets=tuple(sorted(set(t_offsets))))
 
@@ -317,24 +308,20 @@ def _lattice_statistic(log_values, plan):
 def _block_statistics(block, plan):
     """Statistics (R,) and bandwidths (R, n) of R standardized samples.
 
-    ``block`` is a Fortran-ordered (m, n, R) array, one sample per last
-    index.  On a 1-D lattice plan its (m, R) columns pass the Silverman
-    rule at once, each column's reductions running over contiguous values
-    in the same order as for that sample alone, and the kernel sees one
-    sample and the lattice per call.  On a grid plan each sample passes
-    bandwidth, KDE and grid statistic alone, copied back to C order: numpy
-    reduces the columns of a Fortran-ordered (m, n) sample in another
-    order, which changes the last bits of the n-D bandwidths.
+    ``block`` is a C-ordered (R, m, n) array, one sample per first index.
+    On a grid plan each sample ``block[r]`` is a C-ordered (m, n) matrix
+    and passes bandwidth, KDE and grid statistic alone.  On a 1-D lattice
+    plan the (m, R) view of the block passes the Silverman rule at once,
+    each column's reductions running over contiguous values in the same
+    order as for that sample alone, and the kernel sees one sample and the
+    lattice per call.
     """
     if isinstance(plan, _GridPlan):
-        statistics, bandwidths = [], []
-        for r in range(block.shape[2]):
-            z = np.ascontiguousarray(block[:, :, r])
-            bandwidths.append(_silverman_per_axis(z))
-            model = kde_log_density(Sample(z, min_count=2), bandwidths[-1])
-            statistics.append(_grid_statistic(model, plan))
-        return np.array(statistics), np.array(bandwidths)
-    columns = block[:, 0, :]
+        bandwidths = np.array([_silverman_per_axis(z) for z in block])
+        statistics = [_grid_statistic(_kde_batch_fn(z, h), plan)
+                      for z, h in zip(block, bandwidths)]
+        return np.array(statistics), bandwidths
+    columns = block[:, :, 0].T
     m, width = columns.shape
     bandwidths = _silverman_per_axis(columns)
     inv = 1.0 / bandwidths
@@ -403,31 +390,30 @@ def _pipeline_statistic(data, plan):
     """Standardize -> bandwidth -> KDE -> statistic of one sample, as a
     one-sample block of the code the bootstrap replicates pass through."""
     z = _standardize(data)
-    statistics, bandwidths = _block_statistics(np.asfortranarray(z[:, :, None]), plan)
+    statistics, bandwidths = _block_statistics(z[None], plan)
     return float(statistics[0]), bandwidths[0]
 
 
-def _draw(mean, root, m, seed, index):
-    """Replication ``index``: m draws from N(mean, root root') on its own
+def _draw(root, m, seed, index):
+    """Replication ``index``: m draws from N(0, root root') on its own
     substream."""
     rng = np.random.default_rng(substream_seed(seed, index))
-    return mean + rng.standard_normal((m, mean.shape[0])) @ root
+    return rng.standard_normal((m, root.shape[0])) @ root
 
 
-def _replicate_statistics(mean, root, m, plan, seed, start, stop):
+def _replicate_statistics(root, m, plan, seed, start, stop):
     """T* of replications start, ..., stop - 1, in order.
 
-    The standardized replicates are gathered into blocks of at most
-    _BLOCK_VALUES values (one replicate when m n exceeds it), and each
+    The standardized replicates are gathered into (R, m, n) blocks of at
+    most _BLOCK_VALUES values (one replicate when m n exceeds it), and each
     block passes :func:`_block_statistics` once.
     """
-    width = max(1, _BLOCK_VALUES // (m * mean.shape[0]))
+    width = max(1, _BLOCK_VALUES // (m * root.shape[0]))
     statistics = np.empty(stop - start)
     for lo in range(start, stop, width):
         hi = min(lo + width, stop)
-        block = np.empty((m, mean.shape[0], hi - lo), order="F")
-        for r in range(lo, hi):
-            block[:, :, r - lo] = _standardize(_draw(mean, root, m, seed, r))
+        block = np.stack([_standardize(_draw(root, m, seed, r))
+                          for r in range(lo, hi)])
         statistics[lo - start:hi - start], _ = _block_statistics(block, plan)
     return statistics
 
@@ -442,22 +428,23 @@ def pvalue_from_replicates(t_observed, t_replicates):
 
 
 def _fitted_root(data):
-    """Mean and symmetric square root of the unbiased sample covariance."""
-    mean, _, cov, exponent = _moments(data)
+    """Symmetric square root of the sample covariance over its largest
+    eigenvalue: the shape of the fitted Gaussian, all that the standardized
+    statistic sees of it.  Exactly [[1.0]] in one dimension."""
+    _, _, cov, _ = _moments(data)
     eigenvalues, basis = _covariance_spectrum(np.atleast_2d(cov))
-    root = basis @ np.diag(np.sqrt(eigenvalues)) @ basis.T
-    return mean, np.ldexp(root, exponent)
+    return basis @ np.diag(np.sqrt(eigenvalues / eigenvalues[0])) @ basis.T
 
 
 def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
                        alphas=DEFAULT_ALPHAS):
     """Parametric-bootstrap calibration of the violation statistic.
 
-    Fits a Gaussian to the sample, draws ``reps`` replicate samples from it
-    (one decorrelated substream per replication, so the result does not
-    depend on worker scheduling), pushes each through the same
-    standardize/bandwidth/KDE/statistic pipeline, and returns the rank
-    p-value (1 + #{T* >= T}) / (reps + 1).
+    Fits a Gaussian to the sample, draws ``reps`` replicate samples around
+    0 from the shape of its covariance (one decorrelated substream per
+    replication, so the result does not depend on worker scheduling),
+    pushes each through the same standardize/bandwidth/KDE/statistic
+    pipeline, and returns the rank p-value (1 + #{T* >= T}) / (reps + 1).
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
@@ -486,11 +473,11 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     plan = _lattice_plan(grid) or _grid_plan(grid)
     data = sample.data
     t_obs, bandwidths = _pipeline_statistic(data, plan)
-    mean, root = _fitted_root(data)
+    root = _fitted_root(data)
 
     budget = min(thread_budget(), reps, os.cpu_count() or 1)
     bounds = np.linspace(1, reps + 1, budget + 1).astype(int)
-    payloads = [(mean, root, sample.count, plan, seed, int(lo), int(hi))
+    payloads = [(root, sample.count, plan, seed, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if budget > 1:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:

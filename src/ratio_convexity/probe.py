@@ -51,7 +51,6 @@ DEFAULT_POINTS_PER_AXIS = {1: 201, 2: 21, 3: 7}
 DIRECTION_SEED = 424242
 _EXTRA_DIRECTIONS = 8
 
-_PRUNE_LIMIT = 8192
 #: most rows handed to one ``log_density_many`` call by the grid evaluator
 _ROW_BUDGET = 8192
 
@@ -300,12 +299,12 @@ def _margins(kind, phi_minus, phi_center, phi_plus, tol):
         return margin, tol_used, mask, values
 
 
-def _log_density_rows(model, points):
-    """log f at each row, in calls of at most ``_ROW_BUDGET`` rows."""
+def _log_density_rows(log_f, points):
+    """``log_f`` at each row, in calls of at most ``_ROW_BUDGET`` rows."""
     if points.shape[0] <= _ROW_BUDGET:
-        return model.log_density_many(points)
+        return log_f(points)
     return np.concatenate([
-        model.log_density_many(points[start:start + _ROW_BUDGET])
+        log_f(points[start:start + _ROW_BUDGET])
         for start in range(0, points.shape[0], _ROW_BUDGET)])
 
 
@@ -342,9 +341,10 @@ def _grid_plan(grid):
                      steps=grid.steps)
 
 
-def _log_ratio_blocks(model, plan):
+def _log_ratio_blocks(log_f, plan):
     """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a grid plan.
 
+    ``log_f`` maps an (N, n) array of points to their N log-densities.
     Each phi array has shape (shifts, base points) and holds
     phi = log f(. + y) - log f(.) at x - t d, x and x + t d.  log f is
     evaluated once per distinct point: the anchors once, and each anchor
@@ -353,13 +353,13 @@ def _log_ratio_blocks(model, plan):
     how the rows are grouped into calls.
     """
     k, n = plan.base.shape
-    head = _log_density_rows(model, plan.anchors)
+    head = _log_density_rows(log_f, plan.anchors)
     phi_center = head[k:][plan.rows] - head[:k]
     width = plan.anchors.shape[0]
     per_call = max(1, _ROW_BUDGET // (2 * width))
     for start in range(0, len(plan.deltas), per_call):
         chunk = plan.deltas[start:start + per_call]
-        values = _log_density_rows(model, (plan.anchors + chunk).reshape(-1, n))
+        values = _log_density_rows(log_f, (plan.anchors + chunk).reshape(-1, n))
         for block, (minus, plus) in enumerate(
                 values.reshape(len(chunk), 2, width), start):
             yield (block, minus[k:][plan.rows] - minus[:k], phi_center,
@@ -393,9 +393,9 @@ def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
     candidates = []
     points_checked = 0
     violation_count = 0
-    sort_key = lambda entry: (-abs(entry[0]), entry[1])
 
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(model, plan):
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(
+            model.log_density_many, plan):
         di, ti = divmod(block, len(grid.steps))
         margin, tol_used, mask, triple_values = _margins(
             kind, phi_minus, phi_center, phi_plus, tol)
@@ -415,13 +415,13 @@ def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
                 float(tol_used.flat[flat]),
                 tuple(float(v.flat[flat]) for v in triple_values),
             ))
-        if len(candidates) > _PRUNE_LIMIT:
-            candidates.sort(key=sort_key)
-            del candidates[witness_cap:]
+        # (-|margin|, position) is a total order, so the top witness_cap
+        # kept after each block are the top witness_cap of the whole grid
+        candidates.sort(key=lambda entry: (-abs(entry[0]), entry[1]))
+        del candidates[witness_cap:]
 
-    candidates.sort(key=sort_key)
     witnesses = []
-    for m, position, tol_used, triple_values in candidates[:witness_cap]:
+    for m, position, tol_used, triple_values in candidates:
         yi, xi, di, ti = position
         y = grid.y_set[yi]
         x = base[xi]

@@ -198,36 +198,36 @@ def lattice_pipeline_loop(data, plan):
     return lattice_statistic_loop(log_values, plan), float(bandwidths[0])
 
 
-def per_replicate_statistics(mean, root, m, plan, seed, start, stop):
+def per_replicate_statistics(root, m, plan, seed, start, stop):
     """T* of bootstrap replications start..stop-1 on a 1-D lattice plan.
 
     The loop the 1-D bootstrap ran before replicates were batched: each
-    replicate is drawn from its own substream and pushed through
-    :func:`lattice_pipeline_loop` on its own.
+    replicate is drawn from N(0, root root') on its own substream and
+    pushed through :func:`lattice_pipeline_loop` on its own.
     """
     from ratio_convexity import normtest
 
     statistics = []
     for r in range(start, stop):
         rng = np.random.default_rng(normtest.substream_seed(seed, r))
-        draw = mean + rng.standard_normal((m, mean.shape[0])) @ root
+        draw = rng.standard_normal((m, root.shape[0])) @ root
         statistics.append(lattice_pipeline_loop(draw, plan)[0])
     return statistics
 
 
-def per_replicate_grid_statistics(mean, root, m, grid, seed, start, stop):
+def per_replicate_grid_statistics(root, m, grid, seed, start, stop):
     """T* of bootstrap replications start..stop-1 on a probe grid.
 
-    Each replicate is drawn from its own substream, standardized, given its
-    Silverman bandwidths and KDE alone, and scanned shift by shift with
-    :func:`per_shift_statistic`.
+    Each replicate is drawn from N(0, root root') on its own substream,
+    standardized, given its Silverman bandwidths and KDE alone, and scanned
+    shift by shift with :func:`per_shift_statistic`.
     """
     from ratio_convexity import normtest
 
     statistics = []
     for r in range(start, stop):
         rng = np.random.default_rng(normtest.substream_seed(seed, r))
-        draw = mean + rng.standard_normal((m, mean.shape[0])) @ root
+        draw = rng.standard_normal((m, root.shape[0])) @ root
         z = normtest._standardize(draw)
         model = normtest.kde_log_density(
             normtest.Sample(z, min_count=2), normtest._silverman_per_axis(z))

@@ -177,6 +177,17 @@ def test_negative_curvature_is_rejected_as_non_integrable():
     assert "not integrable" in report.failure_reason
 
 
+@pytest.mark.parametrize("constant", [3.7, -1e5])
+def test_flat_log_density_is_rejected_as_non_integrable(constant):
+    # rounding alone puts a curvature of 7.5e-17 (3.7) or 1.1e-11 (-1e5)
+    # into the fit of a constant; a sign check called both a wide Gaussian
+    report = classify_gaussian(fit_log_quadratic(
+        Custom(1, lambda x: constant), 1, default_fit_lattice(1)))
+    assert report.gaussian is None
+    assert "not integrable" in report.failure_reason
+    assert report.spectral.eigenvalues[-1] <= report.curvature_noise
+
+
 # ---------------------------------------------------------- design errors
 
 

@@ -304,9 +304,9 @@ def test_block_bootstrap_equals_per_replicate_oracle(m):
         data = values.reshape(-1, 1)
         statistic, bandwidths = _pipeline_statistic(data, plan)
         assert (statistic, float(bandwidths[0])) == lattice_pipeline_loop(data, plan), name
-        mean, root = _fitted_root(data)
-        batched = _replicate_statistics(mean, root, m, plan, 9, 1, 41)
-        assert batched.tolist() == per_replicate_statistics(mean, root, m, plan, 9, 1, 41), name
+        root = _fitted_root(data)
+        batched = _replicate_statistics(root, m, plan, 9, 1, 41)
+        assert batched.tolist() == per_replicate_statistics(root, m, plan, 9, 1, 41), name
 
 
 def test_block_statistics_equal_one_sample_calls():
@@ -314,14 +314,12 @@ def test_block_statistics_equal_one_sample_calls():
     rng = np.random.default_rng(101)
     samples = [rng.standard_normal(60), rng.laplace(size=60),
                np.round(0.3 * rng.standard_normal(60)), rng.standard_t(3, size=60)]
-    block = np.asfortranarray(
-        np.stack([_standardize(s.reshape(-1, 1)) for s in samples], axis=2))
+    block = np.stack([_standardize(s.reshape(-1, 1)) for s in samples])
     statistics, bandwidths = _block_statistics(block, plan)
-    for r in range(block.shape[2]):
-        column = block[:, :, r:r + 1]
-        one_statistic, one_bandwidths = _block_statistics(column, plan)
+    for r in range(block.shape[0]):
+        one_statistic, one_bandwidths = _block_statistics(block[r:r + 1], plan)
         assert statistics[r] == one_statistic[0]
-        assert bandwidths[r, 0] == one_bandwidths[0, 0] == _silverman_per_axis(column[:, 0])[0]
+        assert bandwidths[r, 0] == one_bandwidths[0, 0] == _silverman_per_axis(block[r])[0]
 
     # the lattice statistic alone, column by column, against the
     # pair-by-pair loop; a NaN lattice value is skipped like the loop skips it
@@ -345,20 +343,20 @@ def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
     data = np.random.default_rng(102).standard_normal(5000)
     monte_carlo_pvalue(Sample(data), reps=99, seed=2)
     # the observed sample, then 99 replicates in blocks of 65536 // 5000
-    assert shapes == [(5000, 1, 1)] + [(5000, 1, 13)] * 7 + [(5000, 1, 8)]
-    assert all(m * n * width <= _BLOCK_VALUES for m, n, width in shapes)
+    assert shapes == [(1, 5000, 1)] + [(13, 5000, 1)] * 7 + [(8, 5000, 1)]
+    assert all(width * m * n <= _BLOCK_VALUES for width, m, n in shapes)
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_grid_block_bootstrap_equals_per_replicate_oracle(monkeypatch, dimension):
     data = np.random.default_rng(103).laplace(size=(20, dimension))
     grid = default_test_grid(dimension)
-    mean, root = _fitted_root(data)
-    expected = per_replicate_grid_statistics(mean, root, 20, grid, 9, 1, 6)
-    assert _replicate_statistics(mean, root, 20, _grid_plan(grid), 9, 1, 6).tolist() == expected
+    root = _fitted_root(data)
+    expected = per_replicate_grid_statistics(root, 20, grid, 9, 1, 6)
+    assert _replicate_statistics(root, 20, _grid_plan(grid), 9, 1, 6).tolist() == expected
     # two replicates per block: the last block is partial
     monkeypatch.setattr(normtest, "_BLOCK_VALUES", 2 * 20 * dimension)
-    assert _replicate_statistics(mean, root, 20, _grid_plan(grid), 9, 1, 6).tolist() == expected
+    assert _replicate_statistics(root, 20, _grid_plan(grid), 9, 1, 6).tolist() == expected
 
 
 def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
@@ -379,14 +377,18 @@ def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
     data = np.random.default_rng(104).standard_normal((20, 2))
     monte_carlo_pvalue(Sample(data), reps=99, seed=2)
     assert len(calls) == 1
-    assert shapes == [(20, 2, 1), (20, 2, 40), (20, 2, 40), (20, 2, 19)]
-    assert all(m * n * width <= normtest._BLOCK_VALUES for m, n, width in shapes)
+    assert shapes == [(1, 20, 2), (40, 20, 2), (40, 20, 2), (19, 20, 2)]
+    assert all(width * m * n <= normtest._BLOCK_VALUES for width, m, n in shapes)
 
 
 def test_non_lattice_steps_fall_back():
-    grid = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
-                                   y_magnitudes=(0.5,), steps=(0.21,))
-    assert _lattice_plan(grid) is None
+    # a step off the lattice, a shift off it, and a step far under half
+    # the 0.1 spacing: its offset rounds to 0 within the lattice tolerance
+    for y_magnitudes, steps in (((0.5,), (0.21,)), ((0.55,), (0.2,)),
+                                ((0.5,), (1e-13,))):
+        grid = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
+                                       y_magnitudes=y_magnitudes, steps=steps)
+        assert _lattice_plan(grid) is None
 
 
 # ------------------------------------------------------------- p-values
@@ -416,15 +418,33 @@ def test_standardize_properties():
 def test_standardize_and_fit_at_extreme_scales(scale):
     # squaring 1e+-200 overflows or underflows; the moments are formed on
     # an exactly rescaled copy.  At 1e-7 the 2-D covariance (~1e-14) was
-    # refused as singular by a threshold that was absolute below 1.
+    # refused as singular by a threshold that was absolute below 1.  The
+    # fitted root is the covariance's shape alone, so it is scale-free.
     rng = np.random.default_rng(92)
     for data in (rng.standard_normal((60, 1)), rng.standard_normal((60, 2))):
         np.testing.assert_allclose(_standardize(scale * data), _standardize(data),
                                    rtol=1e-12, atol=1e-12)
-        mean, root = _fitted_root(data)
-        big_mean, big_root = _fitted_root(scale * data)
-        np.testing.assert_allclose(big_mean, scale * mean, rtol=1e-12)
-        np.testing.assert_allclose(big_root, scale * root, rtol=1e-12)
+        np.testing.assert_allclose(_fitted_root(scale * data), _fitted_root(data),
+                                   rtol=1e-12)
+
+
+def test_null_is_the_standard_normal_in_1d(monkeypatch):
+    # in 1-D the fitted root is exactly 1, so T* depends on (m, reps,
+    # seed, grid) alone and not on the sample's location, scale or shape
+    rng = np.random.default_rng(94)
+    x = rng.standard_normal(50)
+    samples = (x, 3.0 * rng.laplace(size=50) - 7.0, 1e200 * x)
+    replicates = []
+
+    def recording(*args):
+        replicates.append(_replicate_statistics(*args))
+        return replicates[-1]
+
+    monkeypatch.setattr(normtest, "_replicate_statistics", recording)
+    for data in samples:
+        assert _fitted_root(data.reshape(-1, 1)).tolist() == [[1.0]]
+        monte_carlo_pvalue(Sample(data), reps=99, seed=4)
+    assert replicates[0].tolist() == replicates[1].tolist() == replicates[2].tolist()
 
 
 def test_statistic_is_location_scale_invariant_1d():
