@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -269,6 +270,13 @@ def _lattice_plan(grid):
     lo, hi, count = grid.x_range[0]
     spacing = (hi - lo) / (count - 1)
     values = grid.steps + tuple(float(y[0]) for y in grid.y_set)
+    # a lattice with more points than the grid plan's stack (x, x + y and
+    # their -/+ t d neighbours) is left to the grid plan; the test runs on
+    # floats, so a step of 1e300 forms no huge offset
+    reach = max(grid.steps) + max(abs(v) for v in values[len(grid.steps):])
+    if count + 2.0 * reach / spacing > (
+            count * (1 + len(grid.y_set)) * (1 + 2 * len(grid.steps))):
+        return None
     offsets = [int(round(v / spacing)) for v in values]
     if any(o == 0 or abs(o * spacing - v) > 1e-12 * max(1.0, abs(v))
            for o, v in zip(offsets, values)):
@@ -305,6 +313,30 @@ def _lattice_statistic(log_values, plan):
     return best
 
 
+def _check_reach(block, bandwidths, plan):
+    """Refuse a grid whose points lie too many bandwidths from a sample.
+
+    The kernel squares and sums the scaled gaps between the grid points and
+    the standardized sample, and the statistic adds and subtracts four of
+    the resulting log-densities; past sqrt(max float) / (4 n) bandwidths
+    these sums overflow.
+    """
+    if isinstance(plan, _GridPlan):
+        reach = float(np.abs(plan.anchors).max() + np.abs(plan.deltas).max())
+        steps = plan.steps
+    else:
+        reach = float(np.abs(plan.points).max())
+        steps = sorted({t for _, _, t in plan.pairs})
+    n = block.shape[2]
+    limit = math.sqrt(sys.float_info.max) / (4 * n) * float(bandwidths.min())
+    if not reach + float(np.abs(block).max()) < limit:
+        raise UsageError(
+            f"the test grid reaches {reach:.3g} standardized units, too far "
+            f"for the KDE at bandwidth {float(bandwidths.min()):.3g} "
+            f"(steps {', '.join(f'{t:g}' for t in steps)}); use smaller "
+            "--steps, --y-set or --x-range")
+
+
 def _block_statistics(block, plan):
     """Statistics (R,) and bandwidths (R, n) of R standardized samples.
 
@@ -318,12 +350,14 @@ def _block_statistics(block, plan):
     """
     if isinstance(plan, _GridPlan):
         bandwidths = np.array([_silverman_per_axis(z) for z in block])
+        _check_reach(block, bandwidths, plan)
         statistics = [_grid_statistic(_kde_batch_fn(z, h), plan)
                       for z, h in zip(block, bandwidths)]
         return np.array(statistics), bandwidths
     columns = block[:, :, 0].T
     m, width = columns.shape
     bandwidths = _silverman_per_axis(columns)
+    _check_reach(block, bandwidths, plan)
     inv = 1.0 / bandwidths
     log_values = np.empty((plan.points.shape[0], width))
     for r in range(width):

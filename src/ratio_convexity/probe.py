@@ -51,7 +51,10 @@ DEFAULT_POINTS_PER_AXIS = {1: 201, 2: 21, 3: 7}
 DIRECTION_SEED = 424242
 _EXTRA_DIRECTIONS = 8
 
-#: most rows handed to one ``log_density_many`` call by the grid evaluator
+#: most rows handed to one ``log_density_many`` call by the grid evaluator.
+#: Closed-form models (a Gaussian's whitened copy, a custom function) build
+#: arrays as long as the call, so this bounds their per-call memory; the KDE
+#: kernel bounds its own, and its results and time do not depend on it
 _ROW_BUDGET = 8192
 
 

@@ -100,6 +100,30 @@ def kde_log_density_naive(points, data, bandwidths):
     return np.logaddexp.reduce(log_terms, axis=1) + log_norm
 
 
+def kde_log_density_einsum(points, data, inv_bandwidth, log_norm, chunk_rows=4096):
+    """Whole-array KDE kernel, the bit-for-bit reference of the blocked one.
+
+    Each chunk of 4096 rows forms the whole (rows, m, n) gap array, then
+    full-size temporaries for einsum, the shifted exponent and exp; its
+    memory grows with m.  Same signature as
+    ``kernels.kde_log_density_batch``.
+    """
+    inv = np.asarray(inv_bandwidth, dtype=np.float64)
+    scaled_points = np.asarray(points, dtype=np.float64) * inv
+    scaled_data = np.asarray(data, dtype=np.float64) * inv
+    log_norm = float(log_norm)
+    total = scaled_points.shape[0]
+    out = np.empty(total)
+    for start in range(0, total, chunk_rows):
+        stop = min(start + chunk_rows, total)
+        gap = scaled_points[start:stop, None, :] - scaled_data[None, :, :]
+        quad = -0.5 * np.einsum("prj,prj->pr", gap, gap)
+        peak = quad.max(axis=1)
+        out[start:stop] = peak + np.log(
+            np.exp(quad - peak[:, None]).sum(axis=1)) + log_norm
+    return out
+
+
 def splitmix64_reference(state):
     """Textbook SplitMix64 finalizer of a 64-bit state."""
     mask = (1 << 64) - 1

@@ -326,6 +326,27 @@ def test_test_grid_flags(run_cli, run_cli_json, normal_csv):
     assert code == 2
 
 
+def test_test_far_step_leaves_the_lattice(run_cli_json, data_dir):
+    # a 1e4 step would pad the 1-D lattice to 200,101 points; the grid plan
+    # evaluates at most 1,281
+    payload = run_cli_json(["test", "--input", str(data_dir / "normal_200.csv"),
+                            "--steps", "1e4", "--reps", "99"])
+    assert payload["provenance"]["grid"]["steps"] == [1e4]
+    assert 0.0 < payload["report"]["p_value"] <= 1.0
+
+
+def test_test_step_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir):
+    # the squared scaled gaps of a 1e300 step overflow in the kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["test", "--input", str(data_dir / "normal_200.csv"),
+                             "--steps", "1e300", "--reps", "99"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: the test grid reaches 1e+300 standardized units")
+    assert "(steps 1e+300)" in err
+
+
 def _write_column(path, values):
     path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
     return str(path)

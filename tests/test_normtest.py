@@ -391,6 +391,20 @@ def test_non_lattice_steps_fall_back():
         assert _lattice_plan(grid) is None
 
 
+def test_far_steps_leave_the_lattice_to_the_grid_plan():
+    # a lattice padded past the grid plan's 61 * 7 * (1 + 2 * steps) rows
+    # is not built: (0.1, 1e4) would need 400,361 points, 1e300 about 2e302
+    for steps in ((0.1, 1e4), (1e300,), (60.0,)):
+        grid = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
+                                       y_magnitudes=(0.5, 1.0, 2.0), steps=steps)
+        assert _lattice_plan(grid) is None
+    # the widest step whose lattice still fits: 61 + 2 * (20 + 590) = 1,281
+    # points against 61 * 7 * 3 = 1,281
+    grid = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
+                                   y_magnitudes=(0.5, 1.0, 2.0), steps=(59.0,))
+    assert _lattice_plan(grid).points.shape == (1281, 1)
+
+
 # ------------------------------------------------------------- p-values
 
 
