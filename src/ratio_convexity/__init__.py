@@ -31,7 +31,8 @@ from .normtest import (Sample, TestReport, bandwidth_silverman,
                        substream_seed, test_normality, violation_statistic)
 from .probe import (ProbeGrid, PropertyKind, Verdict, Witness,
                     concavity_impossibility_scan, default_tolerance,
-                    probe_property, replay_witness, second_difference)
+                    probe_properties, probe_property, replay_witness,
+                    second_difference)
 from .ratio import (AffineForm, QuarticHxx, gaussian_log_ratio_affine,
                     laplace_log_ratio, log_ratio, quartic_hxx)
 
@@ -74,6 +75,7 @@ __all__ = [
     "log_density_many",
     "log_ratio",
     "monte_carlo_pvalue",
+    "probe_properties",
     "probe_property",
     "quartic_hxx",
     "quartic_norm_constant",

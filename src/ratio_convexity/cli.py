@@ -30,9 +30,12 @@ from .density import (Custom, Gaussian, GaussianParams, Laplace1D,
                       LogQuadraticForm, Quartic1D)
 from .errors import (DegenerateSampleError, InconclusiveScanError,
                      ModelContractError, UsageError)
-from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _unit_scaled,
-                       default_test_grid, kde_log_density, test_normality)
-from .probe import ProbeGrid, PropertyKind, default_tolerance, probe_property
+from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _reach_limit,
+                       _unit_scaled, default_test_grid, kde_log_density,
+                       test_normality)
+# probe_property is unused here, but perfbench/tracing.py wraps this binding
+from .probe import (ProbeGrid, PropertyKind, default_tolerance,
+                    probe_properties, probe_property)
 from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
                     quartic_hxx)
 
@@ -164,28 +167,51 @@ def _build_model(args):
 def _probe_grid(args, model, sample):
     """Probe grid from flags; data-driven defaults for KDE models."""
     n = model.dimension
-    if sample is not None:
-        # moments of the exactly rescaled sample, mapped back: no overflow
-        # or underflow at any scale
-        scaled, exponent = _unit_scaled(sample.data, axis=0)
-        sd = np.ldexp(scaled.std(axis=0, ddof=1), exponent)
-        mean = np.ldexp(scaled.mean(axis=0), exponent)
-        scale = float(sd.mean())
-        if not (np.all(sd > 0) and np.isfinite(scale)):
-            raise DegenerateSampleError("sample has an axis with zero spread")
-        default = ProbeGrid.for_dimension(n)
-        x_range = tuple(
-            (float(mean[j] - 4.0 * sd[j]), float(mean[j] + 4.0 * sd[j]),
-             default.x_range[j][2])
-            for j in range(n))
-        grid = ProbeGrid(
-            x_range=x_range,
-            y_set=tuple(y * scale for y in default.y_set),
-            directions=default.directions,
-            steps=tuple(t * scale for t in default.steps))
-    else:
-        grid = ProbeGrid.for_dimension(n)
-    return _apply_grid_flags(args, grid)
+    if sample is None:
+        return _apply_grid_flags(args, ProbeGrid.for_dimension(n))
+    # moments of the exactly rescaled sample, mapped back: no overflow or
+    # underflow at any scale
+    scaled, exponent = _unit_scaled(sample.data, axis=0)
+    sd = np.ldexp(scaled.std(axis=0, ddof=1), exponent)
+    mean = np.ldexp(scaled.mean(axis=0), exponent)
+    scale = float(sd.mean())
+    if not (np.all(sd > 0) and np.isfinite(scale)):
+        raise DegenerateSampleError("sample has an axis with zero spread")
+    default = ProbeGrid.for_dimension(n)
+    x_range = tuple(
+        (float(mean[j] - 4.0 * sd[j]), float(mean[j] + 4.0 * sd[j]),
+         default.x_range[j][2])
+        for j in range(n))
+    grid = _apply_grid_flags(args, ProbeGrid(
+        x_range=x_range,
+        y_set=tuple(y * scale for y in default.y_set),
+        directions=default.directions,
+        steps=tuple(t * scale for t in default.steps)))
+    _check_kde_reach(grid, sample.data, mean, model.bandwidths)
+    return grid
+
+
+def _check_kde_reach(grid, data, center, bandwidths):
+    """Refuse a probe grid whose points lie beyond the reach limit of the
+    sample's KDE (see ``normtest._reach_limit``), before any is evaluated.
+
+    Per axis, a point's gap to a sample value is bounded by the grid's
+    and the sample's largest distances from ``center``; a unit direction
+    moves no axis by more than the step.
+    """
+    with np.errstate(over="ignore"):
+        lo, hi = np.array([axis[:2] for axis in grid.x_range]).T
+        points = (np.maximum(np.abs(lo - center), np.abs(hi - center))
+                  + np.abs(np.asarray(grid.y_set)).max(axis=0)
+                  + max(grid.steps))
+        spread = np.abs(data - center).max(axis=0)
+        reach = float(((points + spread) / bandwidths).max())
+    if not reach < _reach_limit(len(bandwidths)):
+        steps = ", ".join(f"{t:g}" for t in grid.steps)
+        raise UsageError(
+            f"the probe grid reaches {reach:.3g} bandwidths from the sample, "
+            f"too far for its KDE (steps {steps}); use smaller --steps, "
+            "--y-set or --x-range")
 
 
 def _apply_grid_flags(args, grid):
@@ -284,11 +310,10 @@ def _run_probe(args):
             f"--property must be one of: {valid}") from None
 
     tolerance = args.tol if args.tol is not None else default_tolerance(model)
-    properties = {}
-    for kind in kinds:
-        verdict = probe_property(model, kind, grid, tolerance=tolerance,
-                                 witness_cap=args.witness_cap)
-        properties[kind.value] = _verdict_dict(verdict)
+    verdicts = probe_properties(model, kinds, grid, tolerance=tolerance,
+                                witness_cap=args.witness_cap)
+    properties = {verdict.kind.value: _verdict_dict(verdict)
+                  for verdict in verdicts}
 
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -313,22 +313,27 @@ def _lattice_statistic(log_values, plan):
     return best
 
 
-def _check_reach(block, bandwidths, plan):
-    """Refuse a grid whose points lie too many bandwidths from a sample.
+def _reach_limit(dimension):
+    """Most bandwidths a KDE's evaluation points may lie from its sample.
 
-    The kernel squares and sums the scaled gaps between the grid points and
-    the standardized sample, and the statistic adds and subtracts four of
-    the resulting log-densities; past sqrt(max float) / (4 n) bandwidths
-    these sums overflow.
+    The kernel squares and sums the scaled gaps between the points and the
+    sample over ``dimension`` axes, and a second difference adds and
+    subtracts four of the resulting log-densities; past
+    sqrt(max float) / (4 n) bandwidths these sums overflow.
     """
+    return math.sqrt(sys.float_info.max) / (4 * dimension)
+
+
+def _check_reach(block, bandwidths, plan):
+    """Refuse a grid whose points lie beyond :func:`_reach_limit` of a
+    standardized sample."""
     if isinstance(plan, _GridPlan):
         reach = float(np.abs(plan.anchors).max() + np.abs(plan.deltas).max())
         steps = plan.steps
     else:
         reach = float(np.abs(plan.points).max())
         steps = sorted({t for _, _, t in plan.pairs})
-    n = block.shape[2]
-    limit = math.sqrt(sys.float_info.max) / (4 * n) * float(bandwidths.min())
+    limit = _reach_limit(block.shape[2]) * float(bandwidths.min())
     if not reach + float(np.abs(block).max()) < limit:
         raise UsageError(
             f"the test grid reaches {reach:.3g} standardized units, too far "

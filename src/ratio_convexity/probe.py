@@ -10,6 +10,11 @@ and reports violations of the requested property as replayable witnesses.
 Ratios of a Gaussian survive every probe of Convex / LogConvex / LogConcave;
 any strict violation certifies non-Gaussianity on its own.
 
+Every property is read from the same values of log f, so
+:func:`probe_properties` plans the grid and evaluates log f once for any
+number of properties and only forms their margins apart;
+:func:`probe_property` is its one-property case.
+
 Tolerances are scale-aware: a second-difference violation must clear
 ``tol * max(1, |phi(x)|)`` so that huge log-ratio magnitudes cannot
 manufacture spurious witnesses.  Probes of h itself are evaluated in a
@@ -37,6 +42,7 @@ __all__ = [
     "Witness",
     "concavity_impossibility_scan",
     "default_tolerance",
+    "probe_properties",
     "probe_property",
     "replay_witness",
     "second_difference",
@@ -329,12 +335,32 @@ class _GridPlan:
     steps: tuple
 
 
+def _distinct_rows(points):
+    """``(first, inverse)`` of the distinct bit patterns among the rows.
+
+    ``points[first]`` holds each distinct row once, at its first
+    occurrence, ordered by the rows' int64 views (so 0.0 and -0.0 stay
+    apart), and ``points[first][inverse]`` rebuilds ``points``: what
+    ``np.unique(points.view(np.int64), axis=0, return_index=True,
+    return_inverse=True)`` gives, by one stable sort.
+    """
+    keys = points.view(np.int64)
+    # lexsort's last key is its primary one
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    fresh = np.empty(len(order), dtype=bool)
+    fresh[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=fresh[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return order[fresh], inverse
+
+
 def _grid_plan(grid):
     base = grid.base_points()
     k, n = base.shape
     shifted = (base + np.asarray(grid.y_set)[:, None, :]).reshape(-1, n)
-    _, first, inverse = np.unique(shifted.view(np.int64), axis=0,
-                                  return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(shifted)
     offsets = np.array([step * direction
                         for direction in grid.directions for step in grid.steps])
     # x - t d is computed as x + (-t d): the same float
@@ -369,14 +395,17 @@ def _log_ratio_blocks(log_f, plan):
                    plus[k:][plan.rows] - plus[:k])
 
 
-def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
-    """Probe one property of the translation ratios of ``model`` over a grid.
+def probe_properties(model, kinds, grid=None, *, tolerance=None,
+                     witness_cap=64):
+    """Probe several properties of the translation ratios of ``model``.
 
-    Returns a :class:`Verdict`.  Witnesses are sorted by decreasing
-    ``|margin|`` (ties broken by grid position) and capped at
-    ``witness_cap``; ``violation_count`` still counts everything.
+    Returns one :class:`Verdict` per kind, in the order given.  The grid is
+    planned and log f evaluated once for all of them; only the margins
+    differ between kinds.  Witnesses are sorted by decreasing ``|margin|``
+    (ties broken by grid position) and capped at ``witness_cap``;
+    ``violation_count`` still counts everything.
     """
-    kind = PropertyKind(kind)
+    kinds = tuple(PropertyKind(kind) for kind in kinds)
     if grid is None:
         grid = ProbeGrid.for_dimension(model.dimension)
     if grid.dimension != model.dimension:
@@ -389,57 +418,75 @@ def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
     witness_cap = int(witness_cap)
     if witness_cap < 1:
         raise UsageError("witness_cap must be at least 1")
+    if not kinds:
+        return ()
 
     plan = _grid_plan(grid)
     base = plan.base
     k = base.shape[0]
-    candidates = []
+    candidates = [[] for _ in kinds]
+    violation_counts = [0] * len(kinds)
     points_checked = 0
-    violation_count = 0
 
     for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(
             model.log_density_many, plan):
         di, ti = divmod(block, len(grid.steps))
-        margin, tol_used, mask, triple_values = _margins(
-            kind, phi_minus, phi_center, phi_plus, tol)
-        points_checked += mask.size
-        violation_count += int(np.count_nonzero(mask))
-        # beyond double range: counted, not materialized
-        hits = np.flatnonzero(mask & np.isfinite(margin))
-        if hits.size > witness_cap:
-            # only this block's top witness_cap can reach the global top;
-            # flat (shift, point) order is position order within a block
-            order = np.lexsort((hits, -np.abs(margin.flat[hits])))
-            hits = hits[order[:witness_cap]]
-        for flat in hits.tolist():
-            yi, xi = divmod(flat, k)
-            candidates.append((
-                float(margin.flat[flat]), (yi, xi, di, ti),
-                float(tol_used.flat[flat]),
-                tuple(float(v.flat[flat]) for v in triple_values),
-            ))
-        # (-|margin|, position) is a total order, so the top witness_cap
-        # kept after each block are the top witness_cap of the whole grid
-        candidates.sort(key=lambda entry: (-abs(entry[0]), entry[1]))
-        del candidates[witness_cap:]
+        points_checked += phi_center.size
+        for slot, kind in enumerate(kinds):
+            margin, tol_used, mask, triple_values = _margins(
+                kind, phi_minus, phi_center, phi_plus, tol)
+            violation_counts[slot] += int(np.count_nonzero(mask))
+            # beyond double range: counted, not materialized
+            hits = np.flatnonzero(mask & np.isfinite(margin))
+            if hits.size > witness_cap:
+                # only this block's top witness_cap can reach the global
+                # top; flat (shift, point) order is position order within
+                # a block
+                order = np.lexsort((hits, -np.abs(margin.flat[hits])))
+                hits = hits[order[:witness_cap]]
+            kept = candidates[slot]
+            for flat in hits.tolist():
+                yi, xi = divmod(flat, k)
+                kept.append((
+                    float(margin.flat[flat]), (yi, xi, di, ti),
+                    float(tol_used.flat[flat]),
+                    tuple(float(v.flat[flat]) for v in triple_values),
+                ))
+            # (-|margin|, position) is a total order, so the top
+            # witness_cap kept after each block are the top witness_cap of
+            # the whole grid
+            kept.sort(key=lambda entry: (-abs(entry[0]), entry[1]))
+            del kept[witness_cap:]
 
-    witnesses = []
-    for m, position, tol_used, triple_values in candidates:
-        yi, xi, di, ti = position
-        y = grid.y_set[yi]
-        x = base[xi]
-        direction = grid.directions[di]
-        step = grid.steps[ti]
-        offset = step * direction
-        witnesses.append(Witness(
-            kind=kind, y=y, x=x, direction=direction, step=step,
-            triple=(x - offset, x.copy(), x + offset),
-            values=triple_values, margin=m, tolerance_used=tol_used,
-            position=position))
+    return tuple(
+        Verdict(kind=kind, points_checked=points_checked,
+                violation_count=count, tolerance=tol,
+                witnesses=tuple(_witness(kind, grid, base, entry)
+                                for entry in kept))
+        for kind, count, kept in zip(kinds, violation_counts, candidates))
 
-    return Verdict(kind=kind, points_checked=points_checked,
-                   violation_count=violation_count, tolerance=tol,
-                   witnesses=tuple(witnesses))
+
+def _witness(kind, grid, base, entry):
+    m, position, tol_used, triple_values = entry
+    yi, xi, di, ti = position
+    x = base[xi]
+    direction = grid.directions[di]
+    step = grid.steps[ti]
+    offset = step * direction
+    return Witness(
+        kind=kind, y=grid.y_set[yi], x=x, direction=direction, step=step,
+        triple=(x - offset, x.copy(), x + offset),
+        values=triple_values, margin=m, tolerance_used=tol_used,
+        position=position)
+
+
+def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
+    """Probe one property of the translation ratios of ``model`` over a grid.
+
+    Returns a :class:`Verdict`; see :func:`probe_properties`.
+    """
+    return probe_properties(model, (kind,), grid, tolerance=tolerance,
+                            witness_cap=witness_cap)[0]
 
 
 def replay_witness(model, witness):

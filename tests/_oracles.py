@@ -146,6 +146,14 @@ def quadratic_fit_1d(xs, values):
     return coeffs, float(np.max(np.abs(residuals)))
 
 
+def distinct_rows_unique(points):
+    """``(first, inverse)`` of the distinct int64 bit patterns among the
+    rows, by ``np.unique``: the reference of ``probe._distinct_rows``."""
+    _, first, inverse = np.unique(points.view(np.int64), axis=0,
+                                  return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def per_shift_log_ratios(model, grid):
     """Yield (shift, direction, step index, phi_minus, phi_center, phi_plus).
 

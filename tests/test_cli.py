@@ -12,6 +12,7 @@ import pytest
 import ratio_convexity
 from ratio_convexity.cli import build_parser, main, parse_samples_csv
 from ratio_convexity.errors import UsageError
+from ratio_convexity.probe import PropertyKind
 from ratio_convexity.ratio import laplace_log_ratio
 
 # .../src/ratio_convexity/__init__.py -> .../src, so that a child interpreter
@@ -133,6 +134,40 @@ def test_probe_witness_cap(run_cli_json):
     verdict = payload["properties"]["convex"]
     assert len(verdict["witnesses"]) == 2
     assert verdict["violation_count"] > 2
+
+
+def test_probe_all_properties_equal_single_runs(run_cli_json):
+    names = [kind.value for kind in PropertyKind]
+    together = run_cli_json(["probe", "--model", "laplace",
+                             "--property", ",".join(names)])
+    singles = {}
+    for name in names:
+        singles.update(run_cli_json(["probe", "--model", "laplace",
+                                     "--property", name])["properties"])
+    assert together["properties"] == singles
+
+
+@pytest.mark.parametrize("step", ["1e300", "1e200"])
+def test_probe_step_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir,
+                                                    step):
+    # the squared scaled gaps of such a step overflow in the kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["probe", "--input", str(data_dir / "normal_200.csv"),
+                             "--property", "log-convex", "--steps", step])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: the probe grid reaches ")
+    assert f"(steps {float(step):g})" in err
+
+
+def test_probe_step_within_the_kde_range_runs(run_cli_json, data_dir):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_cli_json(["probe", "--input",
+                                str(data_dir / "normal_200.csv"),
+                                "--property", "log-convex", "--steps", "1e150"])
+    assert payload["grid"]["steps"] == [1e150]
 
 
 def test_probe_kde_from_csv(run_cli_json, normal_csv):

@@ -5,21 +5,23 @@ import pytest
 
 from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D, Quartic1D
 from ratio_convexity.errors import InconclusiveScanError, UsageError
-from ratio_convexity.normtest import Sample, kde_log_density
+from ratio_convexity.normtest import Sample, default_test_grid, kde_log_density
 from ratio_convexity.probe import (
     _ROW_BUDGET,
     ProbeGrid,
     PropertyKind,
+    _distinct_rows,
     _margins,
     concavity_impossibility_scan,
     default_tolerance,
+    probe_properties,
     probe_property,
     replay_witness,
     second_difference,
 )
 
-from _oracles import (brute_force_h_margin, per_shift_log_ratios,
-                      ratio_second_difference)
+from _oracles import (brute_force_h_margin, distinct_rows_unique,
+                      per_shift_log_ratios, ratio_second_difference)
 
 
 LAPLACE_EXACT_GRID = ProbeGrid(x_range=((-4.0, 4.0, 9),), y_set=([1.0],),
@@ -307,24 +309,56 @@ def test_probe_matches_per_shift_oracle(model):
     grid = ProbeGrid.for_dimension(model.dimension)
     cells = list(per_shift_log_ratios(model, grid))
     tol = default_tolerance(model)
-    for kind in PropertyKind:
-        for cap in (64, 3):
-            verdict = probe_property(model, kind, grid, witness_cap=cap)
+    for cap in (64, 3):
+        together = probe_properties(model, list(PropertyKind), grid,
+                                    witness_cap=cap)
+        assert [v.kind for v in together] == list(PropertyKind)
+        for kind, joint in zip(PropertyKind, together):
             checked, count, expected = _per_shift_verdict(cells, kind, tol, cap)
-            assert verdict.points_checked == checked
-            assert verdict.violation_count == count
-            assert [(w.position, w.margin) for w in verdict.witnesses] == expected
+            for verdict in (probe_property(model, kind, grid, witness_cap=cap),
+                            joint):
+                assert verdict.points_checked == checked
+                assert verdict.violation_count == count
+                assert [(w.position, w.margin)
+                        for w in verdict.witnesses] == expected
 
 
-def test_probe_calls_stay_within_row_budget():
-    calls = []
+def _recording_gaussian_3d(calls):
     gaussian = Gaussian(GaussianParams(np.zeros(3), np.eye(3)))
 
     def batch(points):
         calls.append(points.shape[0])
         return gaussian.log_density_many(points)
 
-    model = Custom(3, gaussian.log_density, batch_evaluator=batch)
+    return Custom(3, gaussian.log_density, batch_evaluator=batch)
+
+
+def test_probe_properties_evaluate_log_f_once():
+    calls = []
+    model = _recording_gaussian_3d(calls)
+    grid = ProbeGrid.for_dimension(3)
+    verdicts = probe_properties(model, list(PropertyKind), grid)
+    assert len(verdicts) == 5
+    # all five properties cost what one did: each distinct point once
+    assert sum(calls) == (343 + 9408) * 67
+    assert max(calls) <= _ROW_BUDGET
+
+
+def test_probe_properties_keeps_order_and_validates():
+    model = Laplace1D()
+    kinds = ["concave", "convex", "log-convex"]
+    verdicts = probe_properties(model, kinds, LAPLACE_EXACT_GRID)
+    assert [v.kind.value for v in verdicts] == kinds
+    assert probe_properties(model, [], LAPLACE_EXACT_GRID) == ()
+    with pytest.raises(UsageError):
+        probe_properties(model, ["convex"], ProbeGrid.for_dimension(2))
+    with pytest.raises(ValueError):
+        probe_properties(model, ["convex", "not-a-property"])
+
+
+def test_probe_calls_stay_within_row_budget():
+    calls = []
+    model = _recording_gaussian_3d(calls)
     grid = ProbeGrid.for_dimension(3)
     probe_property(model, "log-convex", grid)
     # the budget is below the largest per-shift stack of the default grids
@@ -340,6 +374,47 @@ def test_probe_calls_stay_within_row_budget():
     probe_property(model, "log-convex", big)
     assert max(calls) <= _ROW_BUDGET
     assert sum(calls) == (25 ** 3 + 6 * 25 ** 3) * 23
+
+
+def _shifted_centres(grid):
+    base = grid.base_points()
+    return (base + np.asarray(grid.y_set)[:, None, :]).reshape(-1, base.shape[1])
+
+
+# the second axis ends at -0.0, and -0.0 + -0.0 is -0.0 where -0.0 + 0.0 is
+# 0.0; the shifts +-0.5 and +-1 land many centres on the same points
+SIGNED_ZERO_GRID = ProbeGrid(
+    x_range=((-1.0, 1.0, 5), (-1.0, -0.0, 3)),
+    y_set=([0.5, -0.0], [-0.5, 0.0], [1.0, -0.0], [-1.0, -0.0]),
+    directions=([1.0, 0.0],), steps=(0.5,))
+
+
+@pytest.mark.parametrize("grid", [
+    default_test_grid(2),
+    default_test_grid(3),
+    ProbeGrid.for_dimension(1),
+    ProbeGrid.for_dimension(2),
+    ProbeGrid.for_dimension(3),
+    SIGNED_ZERO_GRID,
+], ids=["test-2", "test-3", "probe-1", "probe-2", "probe-3", "signed-zeros"])
+def test_distinct_rows_match_unique(grid):
+    shifted = _shifted_centres(grid)
+    first, inverse = _distinct_rows(shifted)
+    expected_first, expected_inverse = distinct_rows_unique(shifted)
+    assert np.array_equal(first, expected_first)
+    assert np.array_equal(inverse, expected_inverse)
+
+
+def test_distinct_rows_keep_signed_zeros_apart():
+    shifted = _shifted_centres(SIGNED_ZERO_GRID)
+    first, inverse = _distinct_rows(shifted)
+    assert len(first) < len(shifted)
+    np.testing.assert_array_equal(shifted[first][inverse].view(np.int64),
+                                  shifted.view(np.int64))
+    column = shifted[first][:, 1]
+    zero = column == 0.0
+    assert np.any(zero & np.signbit(column))
+    assert np.any(zero & ~np.signbit(column))
 
 
 # ------------------------------------------------------------- validation
