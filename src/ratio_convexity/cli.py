@@ -30,9 +30,8 @@ from .density import (Custom, Gaussian, GaussianParams, Laplace1D,
                       LogQuadraticForm, Quartic1D)
 from .errors import (DegenerateSampleError, InconclusiveScanError,
                      ModelContractError, UsageError)
-from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _reach_limit,
-                       _unit_scaled, default_test_grid, kde_log_density,
-                       test_normality)
+from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _unit_scaled,
+                       default_test_grid, kde_log_density, test_normality)
 # probe_property is unused here, but perfbench/tracing.py wraps this binding
 from .probe import (ProbeGrid, PropertyKind, default_tolerance,
                     probe_properties, probe_property)
@@ -182,36 +181,11 @@ def _probe_grid(args, model, sample):
         (float(mean[j] - 4.0 * sd[j]), float(mean[j] + 4.0 * sd[j]),
          default.x_range[j][2])
         for j in range(n))
-    grid = _apply_grid_flags(args, ProbeGrid(
+    return _apply_grid_flags(args, ProbeGrid(
         x_range=x_range,
         y_set=tuple(y * scale for y in default.y_set),
         directions=default.directions,
         steps=tuple(t * scale for t in default.steps)))
-    _check_kde_reach(grid, sample.data, mean, model.bandwidths)
-    return grid
-
-
-def _check_kde_reach(grid, data, center, bandwidths):
-    """Refuse a probe grid whose points lie beyond the reach limit of the
-    sample's KDE (see ``normtest._reach_limit``), before any is evaluated.
-
-    Per axis, a point's gap to a sample value is bounded by the grid's
-    and the sample's largest distances from ``center``; a unit direction
-    moves no axis by more than the step.
-    """
-    with np.errstate(over="ignore"):
-        lo, hi = np.array([axis[:2] for axis in grid.x_range]).T
-        points = (np.maximum(np.abs(lo - center), np.abs(hi - center))
-                  + np.abs(np.asarray(grid.y_set)).max(axis=0)
-                  + max(grid.steps))
-        spread = np.abs(data - center).max(axis=0)
-        reach = float(((points + spread) / bandwidths).max())
-    if not reach < _reach_limit(len(bandwidths)):
-        steps = ", ".join(f"{t:g}" for t in grid.steps)
-        raise UsageError(
-            f"the probe grid reaches {reach:.3g} bandwidths from the sample, "
-            f"too far for its KDE (steps {steps}); use smaller --steps, "
-            "--y-set or --x-range")
 
 
 def _apply_grid_flags(args, grid):
@@ -475,6 +449,9 @@ def _run_counterexample(args):
     bounds = _floats(args.x_range, "--x-range") if args.x_range else [-4.0, 4.0]
     if len(bounds) != 2 or bounds[0] >= bounds[1]:
         raise UsageError("--x-range expects LO,HI with LO < HI")
+    if not math.isfinite(bounds[1] - bounds[0]):
+        raise UsageError(
+            f"--x-range ({bounds[0]:g}, {bounds[1]:g}) is wider than double range")
     points = int(args.points) if args.points else 41
     if points < 2:
         raise UsageError("--points must be at least 2")

@@ -69,6 +69,10 @@ _MAX_SD = 2.0 ** 300
 #: most sample values in one block of bootstrap replicates (R x m x n, one
 #: replicate per first index): 327 replicates at m=200 in 1-D, 13 at m=5000
 _BLOCK_VALUES = 1 << 16
+#: KDE log-densities of this magnitude or more are refused: a second
+#: difference of log h = log f(. + y) - log f(.) sums eight of them with
+#: weights +-1 and +-2, so below it none overflows
+_LOG_DENSITY_LIMIT = sys.float_info.max / 8
 
 
 class Sample:
@@ -189,19 +193,40 @@ def bandwidth_silverman(sample):
     return float(h[0]) if sample.dimension == 1 else h
 
 
+def _check_log_density_range(log_values, points):
+    """Refuse KDE log-densities, one or one row per row of ``points``, that
+    are not finite or at least _LOG_DENSITY_LIMIT in magnitude, naming the
+    first point with one."""
+    if -_LOG_DENSITY_LIMIT < log_values.min() and log_values.max() < _LOG_DENSITY_LIMIT:
+        return
+    first = np.flatnonzero(~(np.abs(log_values) < _LOG_DENSITY_LIMIT))[0]
+    row = np.unravel_index(first, log_values.shape)[0]
+    raise UsageError(
+        f"the KDE log-density at {points[row].tolist()} is "
+        f"{log_values.flat[first]:.3g}, out of the range the statistics can "
+        "use: the point lies too far from the sample; use smaller steps, "
+        "shifts or x range")
+
+
 def _kde_batch_fn(data, bandwidths):
     m, n = data.shape
     inv = 1.0 / bandwidths
     log_norm = -(math.log(m) + float(np.log(bandwidths).sum()) + 0.5 * n * _LOG_2PI)
 
     def batch(points):
-        return kernels.kde_log_density_batch(points, data, inv, log_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = kernels.kde_log_density_batch(points, data, inv, log_norm)
+        _check_log_density_range(values, points)
+        return values
 
     return batch
 
 
 def kde_log_density(sample, bandwidth=None):
-    """Gaussian product-kernel KDE of a sample as a Custom density model."""
+    """Gaussian product-kernel KDE of a sample as a Custom density model.
+
+    Its evaluators raise :class:`UsageError` where a log-density is not
+    finite or at least max float / 8 in magnitude."""
     if not isinstance(sample, Sample):
         sample = Sample(sample)
     n = sample.dimension
@@ -230,13 +255,25 @@ def violation_statistic(model, grid=None):
     Zero (to rounding) exactly for Gaussian models; scale-free in t so that
     coarse and fine steps compete on curvature rather than step size.
     """
-    if grid is None:
-        grid = default_test_grid(model.dimension)
-    if grid.dimension != model.dimension:
-        raise UsageError(
-            f"grid dimension {grid.dimension} does not match model dimension "
-            f"{model.dimension}")
+    grid = _statistic_grid(grid, model.dimension)
     return _grid_statistic(model.log_density_many, _grid_plan(grid))
+
+
+def _statistic_grid(grid, dimension):
+    """The statistic's grid (the default for None), refusing a step whose
+    square underflows: the statistic divides by it."""
+    if grid is None:
+        return default_test_grid(dimension)
+    if grid.dimension != dimension:
+        raise UsageError(
+            f"grid dimension {grid.dimension} does not match dimension "
+            f"{dimension}")
+    for t in grid.steps:
+        if t * t < sys.float_info.min:
+            raise UsageError(
+                f"step {t:g} is too small for the statistic: its square "
+                "underflows")
+    return grid
 
 
 def _grid_statistic(log_f, plan):
@@ -313,35 +350,6 @@ def _lattice_statistic(log_values, plan):
     return best
 
 
-def _reach_limit(dimension):
-    """Most bandwidths a KDE's evaluation points may lie from its sample.
-
-    The kernel squares and sums the scaled gaps between the points and the
-    sample over ``dimension`` axes, and a second difference adds and
-    subtracts four of the resulting log-densities; past
-    sqrt(max float) / (4 n) bandwidths these sums overflow.
-    """
-    return math.sqrt(sys.float_info.max) / (4 * dimension)
-
-
-def _check_reach(block, bandwidths, plan):
-    """Refuse a grid whose points lie beyond :func:`_reach_limit` of a
-    standardized sample."""
-    if isinstance(plan, _GridPlan):
-        reach = float(np.abs(plan.anchors).max() + np.abs(plan.deltas).max())
-        steps = plan.steps
-    else:
-        reach = float(np.abs(plan.points).max())
-        steps = sorted({t for _, _, t in plan.pairs})
-    limit = _reach_limit(block.shape[2]) * float(bandwidths.min())
-    if not reach + float(np.abs(block).max()) < limit:
-        raise UsageError(
-            f"the test grid reaches {reach:.3g} standardized units, too far "
-            f"for the KDE at bandwidth {float(bandwidths.min()):.3g} "
-            f"(steps {', '.join(f'{t:g}' for t in steps)}); use smaller "
-            "--steps, --y-set or --x-range")
-
-
 def _block_statistics(block, plan):
     """Statistics (R,) and bandwidths (R, n) of R standardized samples.
 
@@ -355,20 +363,20 @@ def _block_statistics(block, plan):
     """
     if isinstance(plan, _GridPlan):
         bandwidths = np.array([_silverman_per_axis(z) for z in block])
-        _check_reach(block, bandwidths, plan)
         statistics = [_grid_statistic(_kde_batch_fn(z, h), plan)
                       for z, h in zip(block, bandwidths)]
         return np.array(statistics), bandwidths
     columns = block[:, :, 0].T
     m, width = columns.shape
     bandwidths = _silverman_per_axis(columns)
-    _check_reach(block, bandwidths, plan)
     inv = 1.0 / bandwidths
     log_values = np.empty((plan.points.shape[0], width))
-    for r in range(width):
-        log_norm = -(math.log(m) + math.log(float(bandwidths[r])) + 0.5 * _LOG_2PI)
-        log_values[:, r] = kernels.kde_log_density_batch(
-            plan.points, columns[:, r:r + 1], inv[r:r + 1], log_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(width):
+            log_norm = -(math.log(m) + math.log(float(bandwidths[r])) + 0.5 * _LOG_2PI)
+            log_values[:, r] = kernels.kde_log_density_batch(
+                plan.points, columns[:, r:r + 1], inv[r:r + 1], log_norm)
+    _check_log_density_range(log_values, plan.points)
     return _lattice_statistic(log_values, plan), bandwidths[:, None]
 
 
@@ -504,11 +512,7 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise UsageError(f"alpha {a} is outside (0, 1)")
-    if grid is None:
-        grid = default_test_grid(n)
-    if grid.dimension != n:
-        raise UsageError("grid dimension does not match the sample")
-
+    grid = _statistic_grid(grid, n)
     plan = _lattice_plan(grid) or _grid_plan(grid)
     data = sample.data
     t_obs, bandwidths = _pipeline_statistic(data, plan)

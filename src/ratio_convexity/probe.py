@@ -95,6 +95,9 @@ class ProbeGrid:
             lo, hi, count = float(axis[0]), float(axis[1]), int(axis[2])
             if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
                 raise UsageError(f"bad x_range axis ({lo}, {hi})")
+            if not np.isfinite(hi - lo):
+                raise UsageError(
+                    f"x_range axis ({lo:g}, {hi:g}) is wider than double range")
             if count < 3:
                 raise UsageError("each axis needs at least 3 points")
             ranges.append((lo, hi, count))
@@ -278,34 +281,39 @@ def second_difference(phi, x, direction, step):
 
 
 def _margins(kind, phi_minus, phi_center, phi_plus, tol):
-    """Vectorized margins, recorded tolerances, and violation mask."""
+    """Vectorized margins and violation mask."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if kind.on_log:
             margin = phi_plus - 2.0 * phi_center + phi_minus
             tol_used = tol * np.maximum(1.0, np.abs(phi_center))
             if kind is PropertyKind.LOG_CONVEX:
-                mask = margin < -tol_used
-            else:
-                mask = margin > tol_used
-            return margin, tol_used, mask, (phi_minus, phi_center, phi_plus)
+                return margin, margin < -tol_used
+            return margin, margin > tol_used
 
         h_center = np.exp(phi_center)
         scale = np.maximum(np.exp(-phi_center), 1.0)
-        tol_used = tol * np.maximum(1.0, h_center)
         if kind is PropertyKind.QUASI_CONVEX:
             ridge = np.maximum(phi_plus, phi_minus)
             relative = -np.expm1(ridge - phi_center)
             mask = relative > tol * scale
-            margin = h_center * relative
         else:
             relative = np.expm1(phi_plus - phi_center) + np.expm1(phi_minus - phi_center)
             if kind is PropertyKind.CONVEX:
                 mask = relative < -tol * scale
             else:
                 mask = relative > tol * scale
-            margin = h_center * relative
-        values = (np.exp(phi_minus), h_center, np.exp(phi_plus))
-        return margin, tol_used, mask, values
+        return h_center * relative, mask
+
+
+def _witness_values(kind, tol, phi):
+    """Recorded tolerances and witness values of the cells whose log-ratios
+    at x - t d, x and x + t d are the rows of ``phi`` (3, cells).  Every
+    step is elementwise, so cells gathered at the hits get the bits that
+    whole arrays would give."""
+    if not kind.on_log:
+        with np.errstate(over="ignore", under="ignore"):
+            phi = np.exp(phi)
+    return tol * np.maximum(1.0, np.abs(phi[1])), phi
 
 
 def _log_density_rows(log_f, points):
@@ -433,8 +441,7 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
         di, ti = divmod(block, len(grid.steps))
         points_checked += phi_center.size
         for slot, kind in enumerate(kinds):
-            margin, tol_used, mask, triple_values = _margins(
-                kind, phi_minus, phi_center, phi_plus, tol)
+            margin, mask = _margins(kind, phi_minus, phi_center, phi_plus, tol)
             violation_counts[slot] += int(np.count_nonzero(mask))
             # beyond double range: counted, not materialized
             hits = np.flatnonzero(mask & np.isfinite(margin))
@@ -444,14 +451,14 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
                 # a block
                 order = np.lexsort((hits, -np.abs(margin.flat[hits])))
                 hits = hits[order[:witness_cap]]
+            # tolerances and witness values only at the hits kept
+            tol_used, values = _witness_values(kind, tol, np.array(
+                [phi.flat[hits] for phi in (phi_minus, phi_center, phi_plus)]))
             kept = candidates[slot]
-            for flat in hits.tolist():
+            for flat, m, t, triple in zip(hits.tolist(), margin.flat[hits].tolist(),
+                                          tol_used.tolist(), values.T.tolist()):
                 yi, xi = divmod(flat, k)
-                kept.append((
-                    float(margin.flat[flat]), (yi, xi, di, ti),
-                    float(tol_used.flat[flat]),
-                    tuple(float(v.flat[flat]) for v in triple_values),
-                ))
+                kept.append((m, (yi, xi, di, ti), t, tuple(triple)))
             # (-|margin|, position) is a total order, so the top
             # witness_cap kept after each block are the top witness_cap of
             # the whole grid

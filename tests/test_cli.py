@@ -157,8 +157,8 @@ def test_probe_step_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir,
                              "--property", "log-convex", "--steps", step])
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith("error: the probe grid reaches ")
-    assert f"(steps {float(step):g})" in err
+    # the first point past the KDE's finite range: the lowest x less a step
+    assert err.startswith(f"error: the KDE log-density at [-{float(step):g}] ")
 
 
 def test_probe_step_within_the_kde_range_runs(run_cli_json, data_dir):
@@ -378,8 +378,60 @@ def test_test_step_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir):
                              "--steps", "1e300", "--reps", "99"])
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith("error: the test grid reaches 1e+300 standardized units")
-    assert "(steps 1e+300)" in err
+    # the first point past the KDE's finite range, in standardized units
+    assert err.startswith("error: the KDE log-density at [-1e+300] ")
+
+
+@pytest.mark.parametrize("flags, point", [
+    (["test", "--reps", "99", "--x-range", "-1e300,1e300"], "-1e+300"),
+    (["probe", "--points", "5", "--x-range", "-1e300,1e300"], "-1e+300"),
+    # shifts and steps on the x spacing: the 1-D lattice plan
+    (["test", "--reps", "99", "--x-range", "-3e300,3e300", "--steps", "1e299",
+      "--y-set", "1e299"], "-3.2e+300"),
+])
+def test_x_range_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir,
+                                                 flags, point):
+    # x itself lies too far from the sample for its KDE's log-density
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(flags + ["--input", str(data_dir / "normal_200.csv")])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        f"error: the KDE log-density at [{point}] ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--input", "normal_200.csv"],
+    ["probe", "--input", "normal_200.csv"],
+    ["probe", "--model", "laplace"],
+    ["counterexample", "laplace"],
+])
+def test_x_range_wider_than_double_range_is_refused(run_cli, capsys, data_dir,
+                                                    argv):
+    # hi - lo overflows, and linspace would fill the axis with inf and nan
+    argv = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(argv + ["--x-range", "-1.7e308,1.7e308"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert "-1.7e+308" in err and "1.7e+308) is wider than double range" in err
+
+
+def test_step_whose_square_underflows(run_cli, run_cli_json, capsys, data_dir):
+    # the statistic divides by t * t, which is 0 for t = 1e-170; a probe
+    # does not divide by it and still answers
+    csv_path = str(data_dir / "normal_200.csv")
+    code, out = run_cli(["test", "--input", csv_path, "--steps", "1e-170",
+                         "--reps", "99"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "error: step 1e-170 is too small for the statistic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_cli_json(["probe", "--input", csv_path, "--steps", "1e-170",
+                                "--property", "log-convex", "--points", "21"])
+    assert payload["grid"]["steps"] == [1e-170]
 
 
 def _write_column(path, values):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from ratio_convexity.normtest import (
     thread_budget,
     violation_statistic,
 )
-from ratio_convexity.probe import ProbeGrid, _grid_plan
+from ratio_convexity.probe import (ProbeGrid, PropertyKind, _grid_plan,
+                                   probe_property)
 
 from _oracles import (
     adaptive_simpson,
@@ -266,6 +268,48 @@ def test_statistic_evaluates_each_distinct_point_once():
 def test_statistic_validates_grid_dimension():
     with pytest.raises(UsageError):
         violation_statistic(Laplace1D(), default_test_grid(2))
+
+
+def test_statistic_refuses_a_step_whose_square_underflows():
+    # 1e-170 squared is 0: the statistic would divide by zero
+    grid = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
+                                   y_magnitudes=(0.5,), steps=(1e-170,))
+    with pytest.raises(UsageError, match=r"step 1e-170 is too small"):
+        violation_statistic(Laplace1D(), grid)
+
+
+@pytest.mark.parametrize("check", ["statistic", "probe"])
+def test_kde_beyond_its_finite_range_is_refused(data_dir, check):
+    # the squared scaled gaps of a 1e300 step overflow in the kernel; the
+    # KDE model refuses the values before a probe or a statistic reads them
+    data = np.loadtxt(data_dir / "normal_200.csv", skiprows=1)
+    model = kde_log_density(Sample(data))
+    grid = ProbeGrid.for_dimension(1, steps=(1e300,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=r"KDE log-density at \[-1e\+300\]"):
+            if check == "statistic":
+                violation_statistic(model, grid)
+            else:
+                probe_property(model, PropertyKind.LOG_CONVEX, grid)
+
+
+def test_log_density_range_check_names_the_first_point():
+    limit = normtest._LOG_DENSITY_LIMIT
+    # the worst second difference of log h from values below the limit is
+    # finite: phi = log f(. + y) - log f(.) at +-2 (limit-), weights 1, -2, 1
+    below = np.nextafter(limit, 0.0)
+    phi = np.array([below - -below, -below - below, below - -below])
+    assert math.isfinite(phi[2] - 2.0 * phi[1] + phi[0])
+    points = np.arange(4.0).reshape(-1, 1)
+    # the last value below the limit passes, on either side
+    normtest._check_log_density_range(np.array([0.0, -below, below, 1.0]), points)
+    for bad in (limit, -limit, np.inf, -np.inf, np.nan):
+        values = np.zeros((4, 3))
+        values[2, 1] = bad
+        values[3, 0] = np.nan
+        with pytest.raises(UsageError, match=r"KDE log-density at \[2.0\]"):
+            normtest._check_log_density_range(values, points)
 
 
 # ------------------------------------------------------------ lattice path

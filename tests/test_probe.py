@@ -226,6 +226,28 @@ def test_witness_replay_reproduces_margin(model, kind):
                                          rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("model, kind", [
+    (Laplace1D(), "convex"),
+    (Laplace1D(), "log-convex"),
+    (Laplace1D(), "log-concave"),
+    (Quartic1D(), "convex"),
+    (Quartic1D(), "concave"),
+])
+def test_witness_records_phi_and_tolerance(model, kind):
+    # values holds phi at the triple (h, or log h for the log probes) and
+    # tolerance_used is tol * max(1, |phi(x)|)
+    verdict = probe_property(model, kind)
+    assert verdict.found
+    for witness in verdict.witnesses:
+        phi = np.array([model.log_density(point + witness.y)
+                        - model.log_density(point) for point in witness.triple])
+        if not witness.kind.on_log:
+            phi = np.exp(phi)
+        np.testing.assert_allclose(witness.values, phi, rtol=1e-12)
+        assert witness.tolerance_used == pytest.approx(
+            verdict.tolerance * max(1.0, abs(phi[1])), rel=1e-12)
+
+
 # ----------------------------------------------- brute-force equivalence
 
 
@@ -282,7 +304,7 @@ def _per_shift_verdict(cells, kind, tol, cap):
     checked = count = 0
     ranked = []
     for yi, di, ti, phi_minus, phi_center, phi_plus in cells:
-        margin, _, mask, _ = _margins(kind, phi_minus, phi_center, phi_plus, tol)
+        margin, mask = _margins(kind, phi_minus, phi_center, phi_plus, tol)
         checked += mask.size
         count += int(np.count_nonzero(mask))
         for xi in np.flatnonzero(mask & np.isfinite(margin)).tolist():
