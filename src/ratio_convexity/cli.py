@@ -33,8 +33,8 @@ from .errors import (DegenerateSampleError, InconclusiveScanError,
 from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _unit_scaled,
                        default_test_grid, kde_log_density, test_normality)
 # probe_property is unused here, but perfbench/tracing.py wraps this binding
-from .probe import (ProbeGrid, PropertyKind, default_tolerance,
-                    probe_properties, probe_property)
+from .probe import (ProbeGrid, PropertyKind, _log_density_rows,
+                    default_tolerance, probe_properties, probe_property)
 from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
                     quartic_hxx)
 
@@ -299,10 +299,10 @@ def _run_probe(args):
     }
     if model.dimension == 1:
         xs = grid.base_points()
-        log_f = model.log_density_many(xs)
+        log_f = _log_density_rows(model.log_density_many, xs)
         series = []
         for y in grid.y_set:
-            log_h = model.log_density_many(xs + y) - log_f
+            log_h = _log_density_rows(model.log_density_many, xs + y) - log_f
             series.append({"y": y.tolist(), "x": xs[:, 0].tolist(),
                            "log_ratio": log_h.tolist()})
         payload["series"] = series

@@ -30,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .density import Custom
+from .density import DensityModel
 from .errors import DegenerateSampleError, UsageError
-from .probe import ProbeGrid, _GridPlan, _grid_plan, _log_ratio_blocks
+from .probe import (ProbeGrid, _GridPlan,
+                    _check_log_density_range, _grid_plan,
+                    _in_log_density_range, _log_ratio_blocks, _offset_rows)
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -69,10 +71,6 @@ _MAX_SD = 2.0 ** 300
 #: most sample values in one block of bootstrap replicates (R x m x n, one
 #: replicate per first index): 327 replicates at m=200 in 1-D, 13 at m=5000
 _BLOCK_VALUES = 1 << 16
-#: KDE log-densities of this magnitude or more are refused: a second
-#: difference of log h = log f(. + y) - log f(.) sums eight of them with
-#: weights +-1 and +-2, so below it none overflows
-_LOG_DENSITY_LIMIT = sys.float_info.max / 8
 
 
 class Sample:
@@ -193,40 +191,53 @@ def bandwidth_silverman(sample):
     return float(h[0]) if sample.dimension == 1 else h
 
 
-def _check_log_density_range(log_values, points):
-    """Refuse KDE log-densities, one or one row per row of ``points``, that
-    are not finite or at least _LOG_DENSITY_LIMIT in magnitude, naming the
-    first point with one."""
-    if -_LOG_DENSITY_LIMIT < log_values.min() and log_values.max() < _LOG_DENSITY_LIMIT:
-        return
-    first = np.flatnonzero(~(np.abs(log_values) < _LOG_DENSITY_LIMIT))[0]
-    row = np.unravel_index(first, log_values.shape)[0]
-    raise UsageError(
-        f"the KDE log-density at {points[row].tolist()} is "
-        f"{log_values.flat[first]:.3g}, out of the range the statistics can "
-        "use: the point lies too far from the sample; use smaller steps, "
-        "shifts or x range")
+class _KernelDensity(DensityModel):
+    """Gaussian product-kernel KDE of an (m, n) sample with bandwidths h.
 
+    Besides the rows of any density model, it evaluates a whole table of
+    anchors plus offsets at once (:meth:`log_density_table`).  Its rows
+    are not range-checked; the grid evaluators check them.
+    """
 
-def _kde_batch_fn(data, bandwidths):
-    m, n = data.shape
-    inv = 1.0 / bandwidths
-    log_norm = -(math.log(m) + float(np.log(bandwidths).sum()) + 0.5 * n * _LOG_2PI)
+    closed_form = False
+    label = "gaussian-kde"
 
-    def batch(points):
+    def __init__(self, data, bandwidths):
+        m, n = data.shape
+        self.dimension = n
+        self.sample_count = m
+        self.bandwidths = bandwidths
+        self._data = data
+        self._inv = 1.0 / bandwidths
+        self._log_norm = -(math.log(m) + float(np.log(bandwidths).sum())
+                           + 0.5 * n * _LOG_2PI)
+
+    def _log_density_one(self, point):
+        return float(self._log_density_many(point.reshape(1, -1))[0])
+
+    def _log_density_many(self, points):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = kernels.kde_log_density_batch(points, data, inv, log_norm)
-        _check_log_density_range(values, points)
-        return values
+            return kernels.kde_log_density_batch(points, self._data, self._inv,
+                                                 self._log_norm)
 
-    return batch
+    def log_density_table(self, anchors, offsets):
+        """log f at every anchor plus every offset, as an (offsets,
+        anchors) array, refused by the finite-range rule where out of
+        range; see :func:`kernels.kde_log_density_table`."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = kernels.kde_log_density_table(
+                anchors, offsets, self._data, self._inv, self._log_norm)
+        if not _in_log_density_range(values):
+            _check_log_density_range(values, anchors + offsets[:, None, :])
+        return values
 
 
 def kde_log_density(sample, bandwidth=None):
-    """Gaussian product-kernel KDE of a sample as a Custom density model.
+    """Gaussian product-kernel KDE of a sample as a density model.
 
-    Its evaluators raise :class:`UsageError` where a log-density is not
-    finite or at least max float / 8 in magnitude."""
+    The grid statistic and the probes raise :class:`UsageError` where a
+    log-density they read is not finite or at least max float / 8 in
+    magnitude."""
     if not isinstance(sample, Sample):
         sample = Sample(sample)
     n = sample.dimension
@@ -237,16 +248,7 @@ def kde_log_density(sample, bandwidth=None):
             np.asarray(bandwidth, dtype=float), (n,)).copy()
         if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
             raise UsageError("bandwidth must be positive and finite")
-    data = sample.data.copy()
-    batch = _kde_batch_fn(data, bandwidths)
-    model = Custom(
-        n,
-        evaluator=lambda point: float(batch(point.reshape(1, -1))[0]),
-        batch_evaluator=batch,
-        label="gaussian-kde")
-    model.bandwidths = bandwidths
-    model.sample_count = sample.count
-    return model
+    return _KernelDensity(sample.data.copy(), bandwidths)
 
 
 def violation_statistic(model, grid=None):
@@ -256,7 +258,7 @@ def violation_statistic(model, grid=None):
     coarse and fine steps compete on curvature rather than step size.
     """
     grid = _statistic_grid(grid, model.dimension)
-    return _grid_statistic(model.log_density_many, _grid_plan(grid))
+    return _grid_statistic(model, _grid_plan(grid))
 
 
 def _statistic_grid(grid, dimension):
@@ -276,9 +278,16 @@ def _statistic_grid(grid, dimension):
     return grid
 
 
-def _grid_statistic(log_f, plan):
+def _grid_statistic(model, plan):
+    """The statistic of a model over a grid plan.  A KDE's log f comes as
+    one table over the plan's anchors and offsets, any other model's in
+    rows."""
+    if isinstance(model, _KernelDensity):
+        tables = (model.log_density_table(plan.anchors, plan.offsets),)
+    else:
+        tables = _offset_rows(model.log_density_many, plan)
     best = 0.0
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(log_f, plan):
+    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(tables, plan):
         step = plan.steps[block % len(plan.steps)]
         d2 = phi_plus - 2.0 * phi_center + phi_minus
         worst = float(np.max(np.abs(d2))) / (step * step)
@@ -363,7 +372,7 @@ def _block_statistics(block, plan):
     """
     if isinstance(plan, _GridPlan):
         bandwidths = np.array([_silverman_per_axis(z) for z in block])
-        statistics = [_grid_statistic(_kde_batch_fn(z, h), plan)
+        statistics = [_grid_statistic(_KernelDensity(z, h), plan)
                       for z, h in zip(block, bandwidths)]
         return np.array(statistics), bandwidths
     columns = block[:, :, 0].T

@@ -26,6 +26,7 @@ as a finite double are counted but not materialized as witnesses.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,10 @@ _EXTRA_DIRECTIONS = 8
 #: arrays as long as the call, so this bounds their per-call memory; the KDE
 #: kernel bounds its own, and its results and time do not depend on it
 _ROW_BUDGET = 8192
+#: log-densities of this magnitude or more are refused: a second difference
+#: of log h = log f(. + y) - log f(.) sums eight of them with weights +-1
+#: and +-2, so below it none overflows
+_LOG_DENSITY_LIMIT = sys.float_info.max / 8
 
 
 class PropertyKind(enum.Enum):
@@ -316,13 +321,41 @@ def _witness_values(kind, tol, phi):
     return tol * np.maximum(1.0, np.abs(phi[1])), phi
 
 
+def _in_log_density_range(log_values):
+    """Whether every log-density is finite and below _LOG_DENSITY_LIMIT in
+    magnitude."""
+    return bool(-_LOG_DENSITY_LIMIT < log_values.min()
+                and log_values.max() < _LOG_DENSITY_LIMIT)
+
+
+def _check_log_density_range(log_values, points):
+    """Refuse log-densities that are not finite or at least
+    _LOG_DENSITY_LIMIT in magnitude, naming the first point with one.
+
+    ``points`` holds each value's point along its leading axes: one row
+    per value, one row per row of values, or one per cell of a table.
+    """
+    if _in_log_density_range(log_values):
+        return
+    first = np.flatnonzero(~(np.abs(log_values) < _LOG_DENSITY_LIMIT))[0]
+    cell = np.unravel_index(first, log_values.shape)[:points.ndim - 1]
+    raise UsageError(
+        f"the log-density at {points[cell].tolist()} is "
+        f"{log_values.flat[first]:.3g}, out of the range the statistics can "
+        "use: the point lies too far out; use smaller steps, shifts or x "
+        "range")
+
+
 def _log_density_rows(log_f, points):
-    """``log_f`` at each row, in calls of at most ``_ROW_BUDGET`` rows."""
-    if points.shape[0] <= _ROW_BUDGET:
-        return log_f(points)
-    return np.concatenate([
-        log_f(points[start:start + _ROW_BUDGET])
-        for start in range(0, points.shape[0], _ROW_BUDGET)])
+    """``log_f`` at each row, in calls of at most ``_ROW_BUDGET`` rows,
+    refused by :func:`_check_log_density_range` where out of range."""
+    values = []
+    for start in range(0, points.shape[0], _ROW_BUDGET):
+        rows = points[start:start + _ROW_BUDGET]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values.append(log_f(rows))
+        _check_log_density_range(values[-1], rows)
+    return values[0] if len(values) == 1 else np.concatenate(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,14 +365,16 @@ class _GridPlan:
     ``anchors`` stacks the base points x and then the distinct shifted
     centres x + y (one per bit pattern, so shifts that land on the same
     lattice point share their evaluations); ``rows[yi]`` picks shift yi's
-    centres out of them.  ``deltas[b]`` holds -t d and +t d for block b,
-    which pairs direction ``b // len(steps)`` with step ``steps[b % len(steps)]``.
+    centres out of them.  ``offsets`` holds 0 and then -t d and +t d for
+    each block b, which pairs direction ``b // len(steps)`` with step
+    ``steps[b % len(steps)]``: every point the grid needs is an anchor plus
+    an offset.
     """
 
     base: np.ndarray
     anchors: np.ndarray
     rows: np.ndarray
-    deltas: np.ndarray
+    offsets: np.ndarray
     steps: tuple
 
 
@@ -369,38 +404,55 @@ def _grid_plan(grid):
     k, n = base.shape
     shifted = (base + np.asarray(grid.y_set)[:, None, :]).reshape(-1, n)
     first, inverse = _distinct_rows(shifted)
-    offsets = np.array([step * direction
-                        for direction in grid.directions for step in grid.steps])
+    steps = np.array([step * direction
+                      for direction in grid.directions for step in grid.steps])
     # x - t d is computed as x + (-t d): the same float
+    offsets = np.vstack((np.zeros((1, n)),
+                         np.stack((-steps, steps), axis=1).reshape(-1, n)))
     return _GridPlan(base=base, anchors=np.vstack((base, shifted[first])),
                      rows=inverse.reshape(len(grid.y_set), k),
-                     deltas=np.stack((-offsets, offsets), axis=1)[:, :, None, :],
-                     steps=grid.steps)
+                     offsets=offsets, steps=grid.steps)
 
 
-def _log_ratio_blocks(log_f, plan):
-    """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a grid plan.
+def _offset_rows(log_f, plan):
+    """Yield log f over the plan's anchors plus each of its offsets in turn.
 
     ``log_f`` maps an (N, n) array of points to their N log-densities.
-    Each phi array has shape (shifts, base points) and holds
-    phi = log f(. + y) - log f(.) at x - t d, x and x + t d.  log f is
-    evaluated once per distinct point: the anchors once, and each anchor
-    at -/+ t d once per block.  Every point is the float the per-shift
-    stack ``x + y - t d`` would give, so the phi values do not depend on
-    how the rows are grouped into calls.
+    Each yielded array has one row per offset and one column per anchor:
+    first the anchors themselves, then the anchors -/+ t d of as many
+    blocks as fit in ``_ROW_BUDGET`` rows, and so on.  log f is evaluated
+    once per distinct point, and every point is the float the per-shift
+    stack ``x + y - t d`` would give, so the values do not depend on how
+    the rows are grouped into calls.
     """
-    k, n = plan.base.shape
-    head = _log_density_rows(log_f, plan.anchors)
-    phi_center = head[k:][plan.rows] - head[:k]
-    width = plan.anchors.shape[0]
-    per_call = max(1, _ROW_BUDGET // (2 * width))
-    for start in range(0, len(plan.deltas), per_call):
-        chunk = plan.deltas[start:start + per_call]
-        values = _log_density_rows(log_f, (plan.anchors + chunk).reshape(-1, n))
-        for block, (minus, plus) in enumerate(
-                values.reshape(len(chunk), 2, width), start):
-            yield (block, minus[k:][plan.rows] - minus[:k], phi_center,
-                   plus[k:][plan.rows] - plus[:k])
+    width, n = plan.anchors.shape
+    yield _log_density_rows(log_f, plan.anchors)[None]
+    per_call = 2 * max(1, _ROW_BUDGET // (2 * width))
+    for start in range(1, len(plan.offsets), per_call):
+        chunk = plan.offsets[start:start + per_call]
+        points = (plan.anchors + chunk[:, None, :]).reshape(-1, n)
+        yield _log_density_rows(log_f, points).reshape(len(chunk), width)
+
+
+def _log_ratio_blocks(tables, plan):
+    """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a grid plan.
+
+    ``tables`` are log f over the plan's anchors plus its offsets, one row
+    per offset in the plan's order, split into arrays of any number of
+    rows (see :func:`_offset_rows`).  Each phi array has shape (shifts,
+    base points) and holds phi = log f(. + y) - log f(.) at x - t d, x and
+    x + t d.
+    """
+    k = plan.base.shape[0]
+
+    def phi(values):
+        return values[k:][plan.rows] - values[:k]
+
+    rows = (row for table in tables for row in table)
+    phi_center = phi(next(rows))
+    # the offsets after 0 come in (-t d, +t d) pairs, one pair per block
+    for block, (minus, plus) in enumerate(zip(rows, rows)):
+        yield block, phi(minus), phi_center, phi(plus)
 
 
 def probe_properties(model, kinds, grid=None, *, tolerance=None,
@@ -437,7 +489,7 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
     points_checked = 0
 
     for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(
-            model.log_density_many, plan):
+            _offset_rows(model.log_density_many, plan), plan):
         di, ti = divmod(block, len(grid.steps))
         points_checked += phi_center.size
         for slot, kind in enumerate(kinds):

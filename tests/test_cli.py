@@ -158,7 +158,7 @@ def test_probe_step_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir,
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     # the first point past the KDE's finite range: the lowest x less a step
-    assert err.startswith(f"error: the KDE log-density at [-{float(step):g}] ")
+    assert err.startswith(f"error: the log-density at [-{float(step):g}] ")
 
 
 def test_probe_step_within_the_kde_range_runs(run_cli_json, data_dir):
@@ -361,6 +361,39 @@ def test_test_grid_flags(run_cli, run_cli_json, normal_csv):
     assert code == 2
 
 
+def _nd_sample_csv(tmp_path, dimension):
+    """A seeded 2-D (50 rows, correlated) or 3-D (40 rows, axis scales 1,
+    2 and 1/2) normal sample as a header-less CSV."""
+    if dimension == 2:
+        z = np.random.default_rng(21).standard_normal((50, 2))
+        x = np.column_stack((z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]))
+    else:
+        x = np.random.default_rng(31).standard_normal((40, 3)) * [1.0, 2.0, 0.5]
+    path = tmp_path / f"normal_{dimension}d.csv"
+    path.write_text("".join(",".join(repr(v) for v in row) + "\n"
+                            for row in x.tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize("dimension, statistic, p_value, bandwidth", [
+    # the nearest of the 99 replicates lies 0.50% from the observed value
+    (2, 47.656963184569705, 0.4, [0.4023939951239009, 0.4115745467345939]),
+    # the nearest lies 0.059% away
+    (3, 49.04819216330444, 0.85,
+     [0.43035862490551635, 0.4303586249055163, 0.43035862490551646]),
+])
+def test_test_nd_regression(run_cli_json, tmp_path, dimension, statistic,
+                            p_value, bandwidth):
+    # an n-D test runs on the grid plan and a KDE table; the replicate
+    # margins keep the frozen p-values stable against rounding differences
+    # between numpy and BLAS builds
+    report = run_cli_json(["test", "--input", _nd_sample_csv(tmp_path, dimension),
+                           "--reps", "99", "--seed", "3"])["report"]
+    assert report["statistic"] == pytest.approx(statistic, rel=1e-11)
+    assert report["p_value"] == p_value
+    assert report["bandwidth"] == pytest.approx(bandwidth, rel=1e-12)
+
+
 def test_test_far_step_leaves_the_lattice(run_cli_json, data_dir):
     # a 1e4 step would pad the 1-D lattice to 200,101 points; the grid plan
     # evaluates at most 1,281
@@ -379,7 +412,7 @@ def test_test_step_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     # the first point past the KDE's finite range, in standardized units
-    assert err.startswith("error: the KDE log-density at [-1e+300] ")
+    assert err.startswith("error: the log-density at [-1e+300] ")
 
 
 @pytest.mark.parametrize("flags, point", [
@@ -397,7 +430,30 @@ def test_x_range_beyond_the_kde_range_is_refused(run_cli, capsys, data_dir,
         code, out = run_cli(flags + ["--input", str(data_dir / "normal_200.csv")])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith(
-        f"error: the KDE log-density at [{point}] ")
+        f"error: the log-density at [{point}] ")
+
+
+@pytest.mark.parametrize("model, bound, point", [
+    ("gaussian", "1e300", "-1e+300"),  # (x - mu)^2 overflows
+    ("quartic", "1e100", "-1e+100"),   # x^4 overflows
+])
+def test_closed_form_beyond_its_finite_range_is_refused(run_cli, capsys, model,
+                                                        bound, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["probe", "--model", model, f"--x-range=-{bound},{bound}"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        f"error: the log-density at [{point}] is -inf, out of the range")
+
+
+def test_laplace_answers_at_the_edge_of_double_range(run_cli_json):
+    # |x| stays finite, and so does every second difference of log h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_cli_json(["probe", "--model", "laplace",
+                                "--x-range=-1e300,1e300"])
+    assert payload["properties"]["log-convex"]["points_checked"] > 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,12 @@
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from ratio_convexity import kernels
+from ratio_convexity import kernels, normtest
+from ratio_convexity.probe import ProbeGrid, _grid_plan
 
 from _oracles import kde_log_density_einsum, kde_log_density_naive
 
@@ -100,3 +103,125 @@ def test_kernel_memory_does_not_grow_with_the_call(n_points, m_data, dimension):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+# ------------------------------------------------------ the factored table
+
+
+def _plan_and_sample(dimension, m, draw):
+    """The default test grid's plan and a standardized sample with its
+    Silverman bandwidths, as the n-D test sees them."""
+    from ratio_convexity import normtest
+    from ratio_convexity.probe import _grid_plan
+
+    rng = np.random.default_rng(7000 + 10 * dimension + m)
+    if draw == "t3":
+        x = rng.standard_t(3, size=(m, dimension))
+    elif draw == "outlier":
+        x = rng.standard_normal((m, dimension))
+    else:
+        x = getattr(rng, draw)(size=(m, dimension))
+    z = normtest._standardize(x)
+    bandwidths = normtest._silverman_per_axis(z)
+    if draw == "outlier":
+        # one observation about 1e3 bandwidths out along the first axis
+        z[0, 0] = 1e3 * bandwidths[0]
+    return _grid_plan(normtest.default_test_grid(dimension)), z, bandwidths
+
+
+def _table_and_rows(plan, data, bandwidths):
+    """The table, the direct kernel's rows in the table's layout, and the
+    call of each."""
+    n = data.shape[1]
+    inv, log_norm = 1.0 / bandwidths, log_norm_of(data, bandwidths)
+    rows = (plan.anchors + plan.offsets[:, None, :]).reshape(-1, n)
+
+    def table_call():
+        return kernels.kde_log_density_table(plan.anchors, plan.offsets, data,
+                                             inv, log_norm)
+
+    def direct_call():
+        return kernels.kde_log_density_batch(rows, data, inv, log_norm)
+
+    table = table_call()
+    return table, direct_call().reshape(table.shape), table_call, direct_call
+
+
+def _quietest_seconds_per_call(calls, trials=5, window=0.02):
+    """Seconds per call of each callable: the least over ``trials``
+    interleaved windows of at least ``window`` seconds, so that both see
+    the same load and a busy moment does not count."""
+    best = [np.inf] * len(calls)
+    for _ in range(trials):
+        for slot, call in enumerate(calls):
+            count, start = 0, time.perf_counter()
+            while True:
+                call()
+                count += 1
+                elapsed = time.perf_counter() - start
+                if elapsed >= window:
+                    break
+            best[slot] = min(best[slot], elapsed / count)
+    return best
+
+
+#: the table's agreement with the direct kernel, relative to 1 + |log f|.
+#: A table value sums terms no larger than |log f|, the offset's exponent
+#: span (at most kernels._SPAN_LIMIT = 600) and |e'.(a' - c)|, each to a
+#: few units in the last place, and the log of a sum of m positive terms
+#: from one product; measured at most 4.4e-14 on these samples
+TABLE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("draw", ["standard_normal", "t3", "laplace",
+                                  "standard_cauchy", "outlier"])
+@pytest.mark.parametrize("m", [40, 200])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_table_matches_direct_kernel(dimension, m, draw):
+    plan, data, bandwidths = _plan_and_sample(dimension, m, draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, direct, table_call, direct_call = _table_and_rows(
+            plan, data, bandwidths)
+    assert table.shape == (plan.offsets.shape[0], plan.anchors.shape[0])
+    assert np.all(np.abs(table - direct) <= TABLE_RTOL * (1.0 + np.abs(direct)))
+    if draw == "standard_cauchy":
+        # offsets whose span passes the limit take the direct kernel, so a
+        # heavy tail costs about what the direct kernel does (0.3 to 1.0
+        # of its time here); the 25% allows for timer noise
+        table_s, direct_s = _quietest_seconds_per_call((table_call, direct_call))
+        assert table_s <= 1.25 * direct_s
+
+
+def test_table_leaves_wide_spans_to_the_direct_kernel():
+    plan, data, bandwidths = _plan_and_sample(2, 40, "outlier")
+    table, direct, _, _ = _table_and_rows(plan, data, bandwidths)
+    scaled = data / bandwidths
+    spans = np.ptp(plan.offsets / bandwidths @ scaled.T, axis=1)
+    wide = spans > kernels._SPAN_LIMIT
+    assert wide.any() and not wide.all()
+    # those offsets' rows come from the direct kernel itself
+    assert table[wide].tolist() == direct[wide].tolist()
+
+
+@pytest.mark.parametrize("m, points", [(40, 7), (4000, 7), (40, 19)])
+def test_table_memory_does_not_grow_with_m_or_anchors(m, points):
+    grid = ProbeGrid.for_dimension(3, x_min=-3.0, x_max=3.0, points=points,
+                                   y_magnitudes=(0.5, 1.0, 2.0), steps=(0.2, 0.4))
+    plan = _grid_plan(grid)
+    rng = np.random.default_rng(6100)
+    data = rng.standard_normal((m, 3))
+    bandwidths = np.full(3, 0.4)
+    log_norm = log_norm_of(data, bandwidths)
+    tracemalloc.start()
+    try:
+        table = kernels.kde_log_density_table(plan.anchors, plan.offsets, data,
+                                              1.0 / bandwidths, log_norm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 2,450 or 65,694 anchors and 45 offsets.  Beyond its output and two
+    # scaled copies of the anchors, a call held 0.26 MB at m = 40 (either
+    # anchor count) and 1.65 MB at m = 4000, in buffers of about
+    # _CHUNK_VALUES values; one (anchors, m) array would take 78 MB there
+    assert peak - table.nbytes - 2 * plan.anchors.nbytes < 2 * 2 ** 20
