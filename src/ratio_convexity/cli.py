@@ -69,7 +69,7 @@ def parse_samples_csv(path):
     consumers impose their own sample-size floors.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
+        with open(path, "r", newline="", encoding="utf-8-sig") as handle:
             raw_rows = [(line, row) for line, row in
                         ((i + 1, row) for i, row in enumerate(csv.reader(handle)))
                         if any(cell.strip() for cell in row)]
@@ -195,15 +195,15 @@ def _apply_grid_flags(args, grid):
     """
     n = grid.dimension
     x_range = grid.x_range
-    if args.x_range:
+    if args.x_range is not None:
         bounds = _floats(args.x_range, "--x-range")
         if len(bounds) != 2 or bounds[0] >= bounds[1]:
             raise UsageError("--x-range expects LO,HI with LO < HI")
         x_range = tuple((bounds[0], bounds[1], axis[2]) for axis in x_range)
-    if args.points:
+    if args.points is not None:
         x_range = tuple((axis[0], axis[1], int(args.points)) for axis in x_range)
     y_set = grid.y_set
-    if args.y_set:
+    if args.y_set is not None:
         shifts = []
         for value in _floats(args.y_set, "--y-set"):
             for axis in range(n):
@@ -211,7 +211,8 @@ def _apply_grid_flags(args, grid):
                 y[axis] = value
                 shifts.append(y)
         y_set = tuple(shifts)
-    steps = tuple(_floats(args.steps, "--steps")) if args.steps else grid.steps
+    steps = (tuple(_floats(args.steps, "--steps")) if args.steps is not None
+             else grid.steps)
     return ProbeGrid(x_range=x_range, y_set=y_set,
                      directions=grid.directions, steps=steps)
 
@@ -411,7 +412,8 @@ def _run_test(args):
     if sample.dimension <= MAX_TEST_DIMENSION:
         grid = _apply_grid_flags(args, default_test_grid(sample.dimension))
 
-    alphas = tuple(_floats(args.alpha, "--alpha")) if args.alpha else None
+    alphas = (tuple(_floats(args.alpha, "--alpha")) if args.alpha is not None
+              else None)
     kwargs = {"grid": grid, "reps": args.reps, "seed": args.seed}
     if alphas is not None:
         kwargs["alphas"] = alphas
@@ -446,19 +448,21 @@ def _run_test(args):
 
 def _run_counterexample(args):
     family = args.family
-    bounds = _floats(args.x_range, "--x-range") if args.x_range else [-4.0, 4.0]
+    bounds = (_floats(args.x_range, "--x-range") if args.x_range is not None
+              else [-4.0, 4.0])
     if len(bounds) != 2 or bounds[0] >= bounds[1]:
         raise UsageError("--x-range expects LO,HI with LO < HI")
     if not math.isfinite(bounds[1] - bounds[0]):
         raise UsageError(
             f"--x-range ({bounds[0]:g}, {bounds[1]:g}) is wider than double range")
-    points = int(args.points) if args.points else 41
+    points = args.points if args.points is not None else 41
     if points < 2:
         raise UsageError("--points must be at least 2")
     xs = np.linspace(bounds[0], bounds[1], points)
 
     if family == "laplace":
-        ys = _floats(args.y_set, "--y-set") if args.y_set else [0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
+        ys = (_floats(args.y_set, "--y-set") if args.y_set is not None
+              else [0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
         model = Laplace1D()
         rows = []
         worst_gap = 0.0
@@ -480,7 +484,8 @@ def _run_counterexample(args):
         }
     elif family == "quartic":
         root6 = math.sqrt(6.0)
-        ys = _floats(args.y_set, "--y-set") if args.y_set else [0.1, 0.5, 1.0, 2.0, 3.0]
+        ys = (_floats(args.y_set, "--y-set") if args.y_set is not None
+              else [0.1, 0.5, 1.0, 2.0, 3.0])
         for boundary in (root6, -root6):
             if not any(abs(y - boundary) < 1e-12 for y in ys):
                 ys.append(boundary)
@@ -530,10 +535,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\d|^-\.\d")
 
 
 def _allow_negative_values(parser):
-    try:
-        parser._negative_number_matcher = _NEGATIVE_VALUE
-    except AttributeError:  # pragma: no cover - future argparse internals
-        pass
+    parser._negative_number_matcher = _NEGATIVE_VALUE
 
 
 def build_parser():

@@ -569,8 +569,6 @@ class TestReport:
 def test_normality(sample, *, grid=None, reps=DEFAULT_REPS, seed=0,
                    alphas=DEFAULT_ALPHAS):
     """Calibrated normality test of a sample (dimension <= 3, m >= 20)."""
-    if not isinstance(sample, Sample):
-        sample = Sample(sample)
     return monte_carlo_pvalue(sample, grid=grid, reps=reps, seed=seed,
                               alphas=alphas)
 

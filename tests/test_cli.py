@@ -23,22 +23,30 @@ SRC_DIR = str(Path(ratio_convexity.__file__).parents[1])
 # -------------------------------------------------------------- CSV parsing
 
 
+# Excel's "CSV UTF-8" starts the file with a byte-order mark, which must
+# not turn the first cell into text
+_BOM = "\ufeff"
+
+
 def test_parse_csv_with_header(tmp_path):
-    path = tmp_path / "small.csv"
-    path.write_text("value\n1.5\n-2.0\n0.25\n")
-    sample = parse_samples_csv(path)
-    assert sample.count == 3
-    assert sample.dimension == 1
-    assert sample.data[:, 0].tolist() == [1.5, -2.0, 0.25]
+    for prefix in ("", _BOM):
+        path = tmp_path / "small.csv"
+        path.write_text(prefix + "value\n1.5\n-2.0\n0.25\n", encoding="utf-8")
+        sample = parse_samples_csv(path)
+        assert sample.count == 3
+        assert sample.dimension == 1
+        assert sample.data[:, 0].tolist() == [1.5, -2.0, 0.25]
 
 
 def test_parse_csv_without_header(tmp_path):
-    path = tmp_path / "bare.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-    sample = parse_samples_csv(path)
-    assert sample.count == 3
-    assert sample.dimension == 2
-    assert sample.data[2].tolist() == [5.0, 6.0]
+    for prefix in ("", _BOM):
+        path = tmp_path / "bare.csv"
+        path.write_text(prefix + "1.0,2.0\n3.0,4.0\n5.0,6.0\n", encoding="utf-8")
+        sample = parse_samples_csv(path)
+        assert sample.count == 3
+        assert sample.dimension == 2
+        assert sample.data[0].tolist() == [1.0, 2.0]
+        assert sample.data[2].tolist() == [5.0, 6.0]
 
 
 def test_parse_csv_skips_blank_lines(tmp_path):
@@ -578,7 +586,7 @@ def test_counterexample_quartic_custom_shifts(run_cli_json):
 # ------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_2(run_cli, tmp_path):
+def test_usage_errors_exit_2(run_cli, tmp_path, data_dir):
     assert run_cli(["probe", "--model", "gaussian", "--mu", "0",
                     "--sigma", "-1"])[0] == 2
     assert run_cli(["probe", "--model", "gaussian", "--mu", "0",
@@ -592,6 +600,14 @@ def test_usage_errors_exit_2(run_cli, tmp_path):
     tiny.write_text("x\n1\n2\n3\n")
     code, _ = run_cli(["test", "--input", str(tiny)])
     assert code == 2
+    # a zero or empty flag value reaches its validation instead of the default
+    normal = str(data_dir / "normal_200.csv")
+    assert run_cli(["probe", "--model", "laplace", "--points", "0"])[0] == 2
+    assert run_cli(["probe", "--model", "laplace", "--steps", ""])[0] == 2
+    assert run_cli(["test", "--input", normal, "--points", "0"])[0] == 2
+    assert run_cli(["test", "--input", normal, "--steps", ""])[0] == 2
+    assert run_cli(["test", "--input", normal, "--alpha", ""])[0] == 2
+    assert run_cli(["counterexample", "laplace", "--points", "0"])[0] == 2
 
 
 def test_unknown_subcommand_exits_2(run_cli):
@@ -641,6 +657,49 @@ def test_main_accepts_none_argv(monkeypatch, capsys):
     assert main() == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["family"] == "laplace"
+
+
+# the package needs numpy alone, so every command runs in a child
+# interpreter that refuses to import scipy
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from ratio_convexity import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = sorted(name for name in sys.modules
+                if name == "scipy" or name.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_commands_run_without_scipy(data_dir):
+    properties = ",".join(kind.value for kind in PropertyKind)
+    commands = [
+        ["probe", "--model", "quartic", "--property", properties],
+        ["fit", "--model", "gaussian"],
+        ["test", "--input", str(data_dir / "normal_200.csv"), "--reps", "99"],
+        ["counterexample", "quartic"],
+    ]
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report == {"codes": [0, 0, 0, 0], "scipy_modules": []}
 
 
 def test_fixture_files_match_their_generators(data_dir):
