@@ -30,11 +30,19 @@ span exp(-span) to 1, where span is the range of e'.v_j over the
 observations; the anchor's largest term meets one of them, so a table sum
 is at least exp(-span).  Offsets whose span exceeds ``_SPAN_LIMIT`` (a far
 outlier, a long step) take the direct kernel instead, so no sum underflows.
+
+``kde_log_density_lattice`` factors a one-dimensional lattice the same way,
+for a block of samples at once: each lattice point is one of about
+sqrt(points) anchors plus one of about sqrt(points) offsets, and a stacked
+matrix product forms the sums of a chunk of samples.
 """
+
+import math
 
 import numpy as np
 
-__all__ = ["backend_name", "kde_log_density_batch", "kde_log_density_table"]
+__all__ = ["backend_name", "kde_log_density_batch", "kde_log_density_lattice",
+           "kde_log_density_table"]
 
 #: most (point, observation) values held by one chunk, unless m is larger
 _CHUNK_VALUES = 1 << 15
@@ -153,7 +161,11 @@ def kde_log_density_table(anchors, offsets, data, inv_bandwidth, log_norm):
         if not factored.any():
             continue
         picked = first + np.flatnonzero(factored)
-        weights = linear[factored]
+        # the weights take over the exponents' buffer, and a group's
+        # buffers go before the next group's come: at m past _CHUNK_VALUES
+        # a call then holds one row of each beside its scaled samples
+        weights = linear if factored.all() else linear[factored]
+        del linear
         weights -= peak[factored, None]
         np.exp(weights, out=weights)
         scaled_offsets = scaled_offsets[factored]
@@ -176,4 +188,80 @@ def kde_log_density_table(anchors, offsets, data, inv_bandwidth, log_norm):
             sums -= centred_anchors[start:stop] @ scaled_offsets.T
             sums += constant
             out[picked, start:stop] = sums.T
+        del weights, quad, q, gap
+    return out
+
+
+def kde_log_density_lattice(start, spacing, count, samples, inv_bandwidths,
+                            log_norms):
+    """Log-density of R one-dimensional Gaussian KDEs on one lattice, as a
+    (count, R) array: ``[k, r]`` holds log f of sample ``samples[r]`` at
+    ``start + k * spacing``.
+
+    ``samples`` is an (R, m) array, one sample per row, with its inverse
+    bandwidths and ``log_norm`` constants (R,) as in
+    :func:`kde_log_density_table`.  Lattice index k is a B + b with
+    B = ceil(sqrt(count)) offsets b * spacing and A = ceil(count / B)
+    anchors start + a B spacing, so a sample takes (A + B) m exps in place
+    of count m; the last A B - count points are computed and dropped.  The
+    samples' (A, m) anchor terms and (B, m) offset weights are formed and
+    stabilized as in the table, and one stacked matrix product serves a
+    chunk of samples whose buffers hold about ``_CHUNK_VALUES`` values.
+
+    A sample whose offset span passes ``_SPAN_LIMIT`` (or is NaN), or whose
+    own buffers pass ``_CHUNK_VALUES``, goes to
+    :func:`kde_log_density_table` alone.  The route depends only on that
+    sample's values, and a stacked product multiplies each sample's
+    matrices on their own, so a sample's bits do not depend on the other
+    samples it comes with.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    inv = np.asarray(inv_bandwidths, dtype=np.float64)
+    log_norms = np.asarray(log_norms, dtype=np.float64)
+    width, m = samples.shape
+    offset_count = math.isqrt(count - 1) + 1
+    anchor_count = -(-count // offset_count)
+    anchors = start + (np.arange(anchor_count) * offset_count) * spacing
+    offsets = np.arange(offset_count) * spacing
+    out = np.empty((count, width))
+    # the table's midrange and its widest offset's span, from each sample's
+    # extremes: inv > 0 and rounding are monotone, so these are the bits of
+    # the table's maxima and minima over the scaled values
+    high = samples.max(axis=1) * inv
+    low = samples.min(axis=1) * inv
+    centre = 0.5 * (high + low)
+    widest = offsets[-1] * inv
+    span = widest * (high - centre) - widest * (low - centre)
+    per_sample = (anchor_count + offset_count) * m
+    batched = (span <= _SPAN_LIMIT) & (per_sample <= _CHUNK_VALUES)
+    for r in np.flatnonzero(~batched):
+        table = kde_log_density_table(anchors[:, None], offsets[:, None],
+                                      samples[r, :, None], inv[r:r + 1],
+                                      log_norms[r])
+        out[:, r] = table.T.reshape(-1)[:count]
+    picked = np.flatnonzero(batched)
+    rows = max(1, _CHUNK_VALUES // per_sample)
+    for first in range(0, picked.size, rows):
+        chunk = picked[first:first + rows]
+        scaled = samples[chunk] * inv[chunk, None]
+        scaled_offsets = offsets * inv[chunk, None]
+        weights = scaled_offsets[:, :, None] * (scaled - centre[chunk, None])[:, None, :]
+        peak = weights.max(axis=2)
+        weights -= peak[:, :, None]
+        np.exp(weights, out=weights)
+        scaled_anchors = anchors * inv[chunk, None]
+        quad = scaled_anchors[:, :, None] - scaled[:, None, :]
+        np.multiply(quad, quad, out=quad)
+        quad *= -0.5
+        row_peak = quad.max(axis=2)
+        quad -= row_peak[:, :, None]
+        np.exp(quad, out=quad)
+        sums = quad @ weights.transpose(0, 2, 1)
+        np.log(sums, out=sums)
+        sums += row_peak[:, :, None]
+        sums -= ((scaled_anchors - centre[chunk, None])[:, :, None]
+                 * scaled_offsets[:, None, :])
+        sums += (log_norms[chunk, None] + peak
+                 - 0.5 * scaled_offsets * scaled_offsets)[:, None, :]
+        out[:, chunk] = sums.reshape(chunk.size, -1)[:, :count].T
     return out

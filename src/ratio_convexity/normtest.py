@@ -21,6 +21,7 @@ approximate in the same way the statistic is.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -257,8 +258,20 @@ def violation_statistic(model, grid=None):
     Zero (to rounding) exactly for Gaussian models; scale-free in t so that
     coarse and fine steps compete on curvature rather than step size.
     """
+    if grid is None and model.dimension <= MAX_TEST_DIMENSION:
+        return _grid_statistic(model, _default_plan(model.dimension))
     grid = _statistic_grid(grid, model.dimension)
     return _grid_statistic(model, _grid_plan(grid))
+
+
+@functools.lru_cache(maxsize=MAX_TEST_DIMENSION)
+def _default_plan(dimension):
+    """The plan of ``default_test_grid(dimension)``, built once per
+    process; its arrays are read-only, as every caller shares them."""
+    plan = _grid_plan(default_test_grid(dimension))
+    for values in (plan.base, plan.anchors, plan.rows, plan.offsets):
+        values.setflags(write=False)
+    return plan
 
 
 def _statistic_grid(grid, dimension):
@@ -303,6 +316,7 @@ class _LatticePlan:
     every (y, t) combination."""
 
     points: np.ndarray
+    spacing: float
     pad: int
     count: int
     pairs: tuple
@@ -336,7 +350,7 @@ def _lattice_plan(grid):
     pairs = tuple((oy, ot, float(t))
                   for oy in y_offsets
                   for ot, t in zip(t_offsets, grid.steps))
-    return _LatticePlan(points=points, pad=pad, count=count,
+    return _LatticePlan(points=points, spacing=spacing, pad=pad, count=count,
                         pairs=pairs, t_offsets=tuple(sorted(set(t_offsets))))
 
 
@@ -367,24 +381,24 @@ def _block_statistics(block, plan):
     and passes bandwidth, KDE and grid statistic alone.  On a 1-D lattice
     plan the (m, R) view of the block passes the Silverman rule at once,
     each column's reductions running over contiguous values in the same
-    order as for that sample alone, and the kernel sees one sample and the
-    lattice per call.
+    order as for that sample alone, and one call of
+    :func:`kernels.kde_log_density_lattice` gives every sample's log f on
+    the lattice, each sample's values the bits it would have alone.
     """
     if isinstance(plan, _GridPlan):
         bandwidths = np.array([_silverman_per_axis(z) for z in block])
         statistics = [_grid_statistic(_KernelDensity(z, h), plan)
                       for z, h in zip(block, bandwidths)]
         return np.array(statistics), bandwidths
-    columns = block[:, :, 0].T
-    m, width = columns.shape
-    bandwidths = _silverman_per_axis(columns)
-    inv = 1.0 / bandwidths
-    log_values = np.empty((plan.points.shape[0], width))
+    samples = block[:, :, 0]
+    m = samples.shape[1]
+    bandwidths = _silverman_per_axis(samples.T)
+    log_norms = [-(math.log(m) + math.log(h) + 0.5 * _LOG_2PI)
+                 for h in bandwidths.tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(width):
-            log_norm = -(math.log(m) + math.log(float(bandwidths[r])) + 0.5 * _LOG_2PI)
-            log_values[:, r] = kernels.kde_log_density_batch(
-                plan.points, columns[:, r:r + 1], inv[r:r + 1], log_norm)
+        log_values = kernels.kde_log_density_lattice(
+            float(plan.points[0, 0]), plan.spacing, plan.points.shape[0],
+            samples, 1.0 / bandwidths, log_norms)
     _check_log_density_range(log_values, plan.points)
     return _lattice_statistic(log_values, plan), bandwidths[:, None]
 

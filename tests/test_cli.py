@@ -402,6 +402,17 @@ def test_test_nd_regression(run_cli_json, tmp_path, dimension, statistic,
     assert report["bandwidth"] == pytest.approx(bandwidth, rel=1e-12)
 
 
+def test_test_1d_regression(run_cli_json, data_dir):
+    # a 1-D test runs on the lattice, factored over anchors and offsets; the
+    # observed statistic is 4.6 times the largest of the 199 replicates
+    # (65.72), so the frozen p-value does not hang on rounding
+    report = run_cli_json(["test", "--input", str(data_dir / "laplace_500.csv"),
+                           "--reps", "199", "--seed", "0"])["report"]
+    assert report["statistic"] == pytest.approx(301.9952512578307, rel=1e-11)
+    assert report["p_value"] == 0.005
+    assert report["bandwidth"] == 0.18647078879052792
+
+
 def test_test_far_step_leaves_the_lattice(run_cli_json, data_dir):
     # a 1e4 step would pad the 1-D lattice to 200,101 points; the grid plan
     # evaluates at most 1,281

@@ -225,3 +225,121 @@ def test_table_memory_does_not_grow_with_m_or_anchors(m, points):
     # anchor count) and 1.65 MB at m = 4000, in buffers of about
     # _CHUNK_VALUES values; one (anchors, m) array would take 78 MB there
     assert peak - table.nbytes - 2 * plan.anchors.nbytes < 2 * 2 ** 20
+
+
+# ---------------------------------------------------- the factored lattice
+
+
+def _lattices():
+    """The default 1-D test lattice (109 points) and the widest lattice a
+    1-D test builds (1,281 points, step 59), as lattice plans."""
+    default = normtest._lattice_plan(normtest.default_test_grid(1))
+    far = normtest._lattice_plan(ProbeGrid.for_dimension(
+        1, x_min=-3.0, x_max=3.0, points=61, y_magnitudes=(0.5, 1.0, 2.0),
+        steps=(59.0,)))
+    return {"default": default, "far-step": far}
+
+
+def _lattice_block(m, draws, seed):
+    """Standardized 1-D samples of size m, one per draw, as an (R, m)
+    block with their Silverman inverse bandwidths and log-norms."""
+    rng = np.random.default_rng(seed)
+    rows, bandwidths = [], []
+    for draw in draws:
+        if draw == "t3":
+            x = rng.standard_t(3, size=m)
+        elif draw == "tied":
+            x = np.round(0.3 * rng.standard_normal(m))
+        elif draw == "outlier":
+            x = rng.standard_normal(m)
+        else:
+            x = getattr(rng, draw)(size=m)
+        z = normtest._standardize(x.reshape(-1, 1))
+        h = normtest._silverman_per_axis(z)[0]
+        if draw == "outlier":
+            # one observation about 1e3 bandwidths out
+            z[0, 0] = 1e3 * h
+        rows.append(z[:, 0])
+        bandwidths.append(h)
+    samples = np.array(rows)
+    bandwidths = np.array(bandwidths)
+    log_norms = -(np.log(m) + np.log(bandwidths) + 0.5 * np.log(2.0 * np.pi))
+    return samples, 1.0 / bandwidths, log_norms
+
+
+def _lattice_call(plan, samples, inv, log_norms):
+    return kernels.kde_log_density_lattice(
+        float(plan.points[0, 0]), plan.spacing, plan.points.shape[0],
+        samples, inv, log_norms)
+
+
+_LATTICE_DRAWS = ("standard_normal", "t3", "laplace", "standard_cauchy",
+                  "outlier", "tied")
+
+
+@pytest.mark.parametrize("lattice", ["default", "far-step"])
+@pytest.mark.parametrize("m", [20, 200, 500, 5000])
+def test_lattice_matches_direct_kernel(lattice, m):
+    plan = _lattices()[lattice]
+    samples, inv, log_norms = _lattice_block(m, _LATTICE_DRAWS, 8000 + m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _lattice_call(plan, samples, inv, log_norms)
+        assert values.shape == (plan.points.shape[0], len(_LATTICE_DRAWS))
+        for r, draw in enumerate(_LATTICE_DRAWS):
+            direct = kernels.kde_log_density_batch(
+                plan.points, samples[r, :, None], inv[r:r + 1], log_norms[r])
+            gap = np.abs(values[:, r] - direct)
+            assert np.all(gap <= TABLE_RTOL * (1.0 + np.abs(direct))), draw
+
+
+def _lattice_shape(count):
+    """Anchors and offsets of a lattice of ``count`` points from 0 at
+    spacing 0.1: ceil(sqrt(count)) offsets, and as many anchors as cover
+    the points."""
+    offset_count = int(np.ceil(np.sqrt(count)))
+    anchor_count = -(-count // offset_count)
+    return (np.arange(anchor_count) * offset_count * 0.1,
+            np.arange(offset_count) * 0.1)
+
+
+@pytest.mark.parametrize("m, draw", [(200, "outlier"), (200, "standard_cauchy"),
+                                     (5000, "standard_normal")])
+def test_lattice_routes_a_sample_to_the_table_alone(m, draw):
+    # a wide offset span (a far outlier, a heavy tail) or a sample whose
+    # buffers pass the chunk sends it to the table; its neighbour in the
+    # block stays in the batch and keeps the bits it has alone
+    plan = _lattices()["default"]
+    count = plan.points.shape[0]
+    samples, inv, log_norms = _lattice_block(m, ("standard_normal", draw), 8100 + m)
+    values = kernels.kde_log_density_lattice(0.0, 0.1, count, samples, inv, log_norms)
+    anchors, offsets = _lattice_shape(count)
+    assert (anchors.size + offsets.size) * m > kernels._CHUNK_VALUES or (
+        np.ptp(samples[1]) * inv[1] * offsets[-1] * inv[1] > kernels._SPAN_LIMIT)
+    table = kernels.kde_log_density_table(anchors[:, None], offsets[:, None],
+                                          samples[1, :, None], inv[1:], log_norms[1])
+    assert values[:, 1].tolist() == table.T.reshape(-1)[:count].tolist()
+    alone = kernels.kde_log_density_lattice(0.0, 0.1, count, samples[:1], inv[:1],
+                                            log_norms[:1])
+    assert values[:, 0].tolist() == alone[:, 0].tolist()
+
+
+@pytest.mark.parametrize("width, m", [(327, 200), (1, 100_000)])
+def test_lattice_memory_stays_near_one_chunk(width, m):
+    # a full bootstrap block at m = 200, and one sample too large for the
+    # batch, which the table takes alone
+    plan = _lattices()["default"]
+    rng = np.random.default_rng(6200)
+    samples = rng.standard_normal((width, m))
+    inv = np.full(width, 1.0 / 0.3)
+    log_norms = np.full(width, -np.log(m) + np.log(inv[0]) - 0.5 * np.log(2.0 * np.pi))
+    tracemalloc.start()
+    try:
+        values = _lattice_call(plan, samples, inv, log_norms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond its output (and two scaled copies of one sample, 0.8 MB each
+    # at m = 100,000), the block held 0.52 MB in chunks of seven samples,
+    # and the large sample 1.6 MB, one offset row and one anchor row
+    assert peak - values.nbytes - 2 * samples[0].nbytes < 2 * 2 ** 20

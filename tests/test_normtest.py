@@ -275,6 +275,28 @@ def test_statistic_evaluates_each_distinct_point_once():
     assert sum(calls) == 22386
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_default_statistic_plans_once(monkeypatch, dimension):
+    calls = []
+    base_points = ProbeGrid.base_points
+
+    def counting(grid):
+        calls.append(grid)
+        return base_points(grid)
+
+    monkeypatch.setattr(ProbeGrid, "base_points", counting)
+    normtest._default_plan.cache_clear()
+    data = np.random.default_rng(76).laplace(size=(30, dimension))
+    model = kde_log_density(Sample(data))
+    first = violation_statistic(model)
+    assert violation_statistic(model) == first
+    assert len(calls) == 1
+    plan = normtest._default_plan(dimension)
+    assert not any(values.flags.writeable for values in
+                   (plan.base, plan.anchors, plan.rows, plan.offsets))
+    assert first == violation_statistic(model, default_test_grid(dimension))
+
+
 def test_statistic_validates_grid_dimension():
     with pytest.raises(UsageError):
         violation_statistic(Laplace1D(), default_test_grid(2))
@@ -350,17 +372,35 @@ def _lattice_samples(m, seed):
             "tied": tied}
 
 
+#: the factored lattice KDE against the direct kernel's lattice (the
+#: oracle).  A lattice value sums terms no larger than |log f|, its
+#: offset's exponent span (at most 111 on these samples and replicates;
+#: never above kernels._SPAN_LIMIT) and |e'.(a' - c)|, each to a few units
+#: in the last place, so it is within about 1e-14 (1 + |log f|) of the
+#: direct one; a statistic takes a difference of two second differences
+#: (eight values) and divides by t^2 >= 0.04.  The worst gap here was
+#: 9.3e-14 relative, on statistics of 3.8 to 204.  Bandwidths do not pass
+#: the kernel and stay bit for bit.
 @pytest.mark.parametrize("m", [20, 200, 500])
-def test_block_bootstrap_equals_per_replicate_oracle(m):
+def test_block_bootstrap_equals_per_replicate_oracle(monkeypatch, m):
     grid = default_test_grid(1)
     plan = _lattice_plan(grid)
     for name, values in _lattice_samples(m, 100 + m).items():
         data = values.reshape(-1, 1)
         statistic, bandwidths = _pipeline_statistic(data, plan)
-        assert (statistic, float(bandwidths[0])) == lattice_pipeline_loop(data, plan), name
+        want_statistic, want_bandwidth = lattice_pipeline_loop(data, plan)
+        assert statistic == pytest.approx(want_statistic, rel=STATISTIC_RTOL), name
+        assert float(bandwidths[0]) == want_bandwidth, name
         root = _fitted_root(data)
         batched = _replicate_statistics(root, m, plan, 9, 1, 41)
-        assert batched.tolist() == per_replicate_statistics(root, m, plan, 9, 1, 41), name
+        np.testing.assert_allclose(
+            batched, per_replicate_statistics(root, m, plan, 9, 1, 41),
+            rtol=STATISTIC_RTOL, err_msg=name)
+        # three replicates per block, the last block partial: the same bits
+        with monkeypatch.context() as patch:
+            patch.setattr(normtest, "_BLOCK_VALUES", 3 * m)
+            partial = _replicate_statistics(root, m, plan, 9, 1, 41)
+        assert partial.tolist() == batched.tolist(), name
 
 
 def test_block_statistics_equal_one_sample_calls():
