@@ -321,7 +321,7 @@ def _fit_standardized(model, sample, lattice, fit_tol):
     """
     n = model.dimension
     mean, _, cov, exponent = _moments(sample.data)
-    scale = np.ldexp(np.sqrt(np.diagonal(np.atleast_2d(cov))), exponent)
+    scale = np.ldexp(np.sqrt(np.diagonal(cov)), exponent)
     standardized = Custom(
         n, evaluator=lambda z: model.log_density(mean + scale * z),
         batch_evaluator=lambda z: model.log_density_many(mean + scale * z))

@@ -404,88 +404,120 @@ def _block_statistics(block, plan):
 
 
 def _covariance(centered):
-    """Unbiased covariance of deviations; the variance as a float for n = 1."""
-    m, n = centered.shape
-    if n == 1:
-        return float(centered[:, 0] @ centered[:, 0]) / (m - 1)
-    return centered.T @ centered / (m - 1)
+    """Unbiased covariance (..., n, n) of deviations (..., m, n)."""
+    return centered.swapaxes(-1, -2) @ centered / (centered.shape[-2] - 1)
 
 
 def _moments(data):
-    """``(mean, centered, cov, e)`` of a sample, at any scale.
+    """``(mean, centered, cov, e)`` of a sample (m, n), or of each sample
+    of a stack (..., m, n), at any scale.
 
     ``data - mean = centered * 2**e`` and ``cov`` is the covariance of
-    ``centered``.  At ordinary scales e = 0 and these are the plain moments.
-    When a variance falls outside [_MIN_SD**2, _MAX_SD**2] (or is not
-    finite), they are formed again from a copy rescaled by exact powers of
-    two: first by max|data|, then, after centering, by the largest
-    deviation, so that neither the squares nor the sums leave double range.
+    ``centered``, each sample reduced as it would be alone.  At ordinary
+    scales e = 0 and these are the plain moments.  A sample with a variance
+    outside [_MIN_SD**2, _MAX_SD**2] (or not finite) has them formed again
+    from a copy rescaled by exact powers of two: first by max|sample|,
+    then, after centering, by the largest deviation, so that neither the
+    squares nor the sums leave double range.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        mean = data.mean(axis=0)
-        centered = data - mean
+        mean = data.mean(axis=-2)
+        centered = data - mean[..., None, :]
         cov = _covariance(centered)
-    variances = np.diagonal(cov).tolist() if centered.shape[1] > 1 else [cov]
-    if all(_MIN_SD ** 2 <= v <= _MAX_SD ** 2 for v in variances):
-        return mean, centered, cov, 0
-    scaled, first = _unit_scaled(data)
-    mean = scaled.mean(axis=0)
-    centered, second = _unit_scaled(scaled - mean)
-    return np.ldexp(mean, first), centered, _covariance(centered), first + second
+    exponents = np.zeros(data.shape[:-2], dtype=int)
+    variances = np.diagonal(cov, axis1=-2, axis2=-1)
+    in_range = ((_MIN_SD ** 2 <= variances)
+                & (variances <= _MAX_SD ** 2)).all(axis=-1)
+    for index in map(tuple, np.argwhere(~in_range)):
+        scaled, first = _unit_scaled(data[index])
+        sample_mean = scaled.mean(axis=0)
+        centered[index], second = _unit_scaled(scaled - sample_mean)
+        mean[index] = np.ldexp(sample_mean, first)
+        cov[index] = _covariance(centered[index])
+        exponents[index] = first + second
+    return mean, centered, cov, exponents
 
 
 def _covariance_spectrum(cov):
-    """Eigenvalues (descending) and eigenvectors of a covariance matrix."""
+    """Eigenvalues (descending) and eigenvectors of a covariance matrix,
+    or of each of a stack of them."""
     eigenvalues, basis = np.linalg.eigh(cov)
-    eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
+    eigenvalues, basis = eigenvalues[..., ::-1], basis[..., ::-1]
     # relative to the largest eigenvalue, so that the verdict does not
     # depend on the unit of the sample
-    if eigenvalues[-1] <= 1e-12 * float(eigenvalues[0]):
+    if np.any(eigenvalues[..., -1] <= 1e-12 * eigenvalues[..., 0]):
         raise DegenerateSampleError("sample covariance is singular")
     return eigenvalues, basis
 
 
 def _standardize(data):
+    """A sample (m, n), or each sample of a stack (..., m, n), centered and
+    whitened, with the bits it would have alone.  Raises if any sample has
+    no usable spread."""
     _, centered, cov, _ = _moments(data)
-    if centered.shape[1] == 1:
-        if not (math.isfinite(cov) and cov > 0.0):
+    n = data.shape[-1]
+    if n == 1:
+        if not np.all(np.isfinite(cov) & (cov > 0.0)):
             raise DegenerateSampleError("sample variance is zero")
-        return centered / math.sqrt(cov)
+        return centered / np.sqrt(cov)
     eigenvalues, basis = _covariance_spectrum(cov)
-    whiten = basis @ np.diag(1.0 / np.sqrt(eigenvalues)) @ basis.T
+    # the matrices np.diag builds, stacked: the same products as for one
+    # sample, so the same bits
+    scales = np.eye(n) * (1.0 / np.sqrt(eigenvalues))[..., None, :]
+    whiten = basis @ scales @ basis.swapaxes(-1, -2)
     return centered @ whiten
 
 
 def _pipeline_statistic(data, plan):
     """Standardize -> bandwidth -> KDE -> statistic of one sample, as a
     one-sample block of the code the bootstrap replicates pass through."""
-    z = _standardize(data)
-    statistics, bandwidths = _block_statistics(z[None], plan)
+    statistics, bandwidths = _block_statistics(_standardize(data[None]), plan)
     return float(statistics[0]), bandwidths[0]
-
-
-def _draw(root, m, seed, index):
-    """Replication ``index``: m draws from N(0, root root') on its own
-    substream."""
-    rng = np.random.default_rng(substream_seed(seed, index))
-    return rng.standard_normal((m, root.shape[0])) @ root
 
 
 def _replicate_statistics(root, m, plan, seed, start, stop):
     """T* of replications start, ..., stop - 1, in order.
 
-    The standardized replicates are gathered into (R, m, n) blocks of at
-    most _BLOCK_VALUES values (one replicate when m n exceeds it), and each
-    block passes :func:`_block_statistics` once.
+    Replication r is m draws from N(0, root root') on its own substream.
+    The replicates are drawn into (R, m, n) blocks of at most _BLOCK_VALUES
+    values (one replicate when m n exceeds it); each block is multiplied
+    by the root (exactly [[1.0]] in 1-D, so skipped there), standardized
+    and passes :func:`_block_statistics` once.
     """
-    width = max(1, _BLOCK_VALUES // (m * root.shape[0]))
+    n = root.shape[0]
+    width = max(1, _BLOCK_VALUES // (m * n))
     statistics = np.empty(stop - start)
     for lo in range(start, stop, width):
-        hi = min(lo + width, stop)
-        block = np.stack([_standardize(_draw(root, m, seed, r))
-                          for r in range(lo, hi)])
-        statistics[lo - start:hi - start], _ = _block_statistics(block, plan)
+        block = np.empty((min(width, stop - lo), m, n))
+        for r, draws in enumerate(block, lo):
+            np.random.default_rng(substream_seed(seed, r)).standard_normal(
+                out=draws)
+        if n > 1:
+            block = block @ root
+        try:
+            block = _standardize(block)
+        except DegenerateSampleError:
+            raise _degenerate_replicate(block, lo, root) from None
+        statistics[lo - start:lo - start + len(block)], _ = (
+            _block_statistics(block, plan))
     return statistics
+
+
+def _degenerate_replicate(block, lo, root):
+    """The error for a block of replicates ``lo, ...`` that could not be
+    standardized, naming the first replicate that cannot be alone."""
+    for r, draws in enumerate(block, lo):
+        try:
+            _standardize(draws[None])
+        except DegenerateSampleError as exc:
+            reason = str(exc)
+            break
+    shape = np.linalg.eigvalsh(root)  # square roots of the eigenvalue ratios
+    ratio = float(shape[0] / shape[-1]) ** 2
+    return DegenerateSampleError(
+        f"bootstrap replication {r}: {reason}; the fitted covariance is too "
+        f"close to singular for its replicates (smallest over largest "
+        f"eigenvalue {ratio:.3g}, against a floor of 1e-12)")
 
 
 def pvalue_from_replicates(t_observed, t_replicates):
@@ -501,8 +533,7 @@ def _fitted_root(data):
     """Symmetric square root of the sample covariance over its largest
     eigenvalue: the shape of the fitted Gaussian, all that the standardized
     statistic sees of it.  Exactly [[1.0]] in one dimension."""
-    _, _, cov, _ = _moments(data)
-    eigenvalues, basis = _covariance_spectrum(np.atleast_2d(cov))
+    eigenvalues, basis = _covariance_spectrum(_moments(data)[2])
     return basis @ np.diag(np.sqrt(eigenvalues / eigenvalues[0])) @ basis.T
 
 

@@ -213,6 +213,48 @@ def lattice_statistic_loop(log_values, plan):
     return best
 
 
+def replicate_draw(root, m, seed, index):
+    """Bootstrap replication ``index`` alone: m draws from N(0, root root')
+    on its own SplitMix64 substream of ``seed``."""
+    state = seed + index * 0x9E3779B97F4A7C15
+    rng = np.random.default_rng(splitmix64_reference(state))
+    return rng.standard_normal((m, root.shape[0])) @ root
+
+
+def standardize_alone(data):
+    """One (m, n) sample centered and whitened, step by step.
+
+    Mean over the rows; the variance as a dot product (n = 1) or the
+    covariance as ``centered.T @ centered``; both formed again on a copy
+    rescaled by powers of two when a standard deviation leaves
+    [2**-300, 2**300]; then division by the standard deviation, or
+    whitening by the eigenvectors and eigenvalues of ``eigh``.
+    """
+    m, n = data.shape
+
+    def covariance(centered):
+        if n == 1:
+            return np.array([[float(centered[:, 0] @ centered[:, 0]) / (m - 1)]])
+        return centered.T @ centered / (m - 1)
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+        cov = covariance(centered)
+    if not all(2.0 ** -600 <= v <= 2.0 ** 600 for v in np.diagonal(cov).tolist()):
+        _, first = np.frexp(np.abs(data).max())
+        scaled = np.ldexp(data, -first)
+        centered = scaled - scaled.mean(axis=0)
+        _, second = np.frexp(np.abs(centered).max())
+        centered = np.ldexp(centered, -second)
+        cov = covariance(centered)
+    if n == 1:
+        return centered / math.sqrt(float(cov[0, 0]))
+    eigenvalues, basis = np.linalg.eigh(cov)
+    eigenvalues, basis = eigenvalues[::-1], basis[:, ::-1]
+    whiten = basis @ np.diag(1.0 / np.sqrt(eigenvalues)) @ basis.T
+    return centered @ whiten
+
+
 def lattice_pipeline_loop(data, plan):
     """Statistic and bandwidth of one 1-D sample on a lattice plan, alone.
 
@@ -221,7 +263,7 @@ def lattice_pipeline_loop(data, plan):
     """
     from ratio_convexity import kernels, normtest
 
-    z = normtest._standardize(data)
+    z = standardize_alone(data)
     bandwidths = normtest._silverman_per_axis(z)
     log_norm = -(math.log(z.shape[0]) + math.log(float(bandwidths[0]))
                  + 0.5 * math.log(2.0 * math.pi))
@@ -237,14 +279,8 @@ def per_replicate_statistics(root, m, plan, seed, start, stop):
     replicate is drawn from N(0, root root') on its own substream and
     pushed through :func:`lattice_pipeline_loop` on its own.
     """
-    from ratio_convexity import normtest
-
-    statistics = []
-    for r in range(start, stop):
-        rng = np.random.default_rng(normtest.substream_seed(seed, r))
-        draw = rng.standard_normal((m, root.shape[0])) @ root
-        statistics.append(lattice_pipeline_loop(draw, plan)[0])
-    return statistics
+    return [lattice_pipeline_loop(replicate_draw(root, m, seed, r), plan)[0]
+            for r in range(start, stop)]
 
 
 def per_replicate_grid_statistics(root, m, grid, seed, start, stop):
@@ -258,9 +294,7 @@ def per_replicate_grid_statistics(root, m, grid, seed, start, stop):
 
     statistics = []
     for r in range(start, stop):
-        rng = np.random.default_rng(normtest.substream_seed(seed, r))
-        draw = rng.standard_normal((m, root.shape[0])) @ root
-        z = normtest._standardize(draw)
+        z = standardize_alone(replicate_draw(root, m, seed, r))
         model = normtest.kde_log_density(
             normtest.Sample(z, min_count=2), normtest._silverman_per_axis(z))
         statistics.append(per_shift_statistic(model, grid))

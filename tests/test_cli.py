@@ -632,6 +632,19 @@ def test_numeric_failure_exits_3(run_cli, tmp_path):
     assert code == 3
 
 
+def test_singular_bootstrap_replicate_exits_3(run_cli, capsys, tmp_path):
+    # the sample passes the singularity floor; some of its replicates do not
+    z = np.random.default_rng(5).standard_normal((20, 2))
+    x = np.column_stack((z[:, 0], math.sqrt(1.5e-12) * z[:, 1]))
+    path = tmp_path / "nearly_singular.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+    code, out = run_cli(["test", "--input", str(path), "--reps", "99", "--seed", "1"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert "bootstrap replication" in err
+    assert "fitted covariance is too close to singular" in err
+
+
 def test_negative_numbers_parse_in_flag_values(run_cli_json):
     payload = run_cli_json(["probe", "--model", "gaussian", "--mu", "-2",
                             "--sigma", "1", "--x-range", "-6,-1",

@@ -44,7 +44,9 @@ from _oracles import (
     per_replicate_statistics,
     per_shift_statistic,
     ratio_second_difference,
+    replicate_draw,
     splitmix64_reference,
+    standardize_alone,
 )
 
 
@@ -474,6 +476,77 @@ def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
     assert len(calls) == 1
     assert shapes == [(1, 20, 2), (40, 20, 2), (40, 20, 2), (19, 20, 2)]
     assert all(width * m * n <= normtest._BLOCK_VALUES for width, m, n in shapes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [20, 200, 5000])
+def test_block_draws_and_standardizes_as_the_per_replicate_oracle(monkeypatch, m, n):
+    if n == 1:
+        root = np.array([[1.0]])
+    else:
+        rng = np.random.default_rng(106 + n)
+        root = _fitted_root(rng.standard_normal((50, n)) @ rng.standard_normal((n, n)))
+    expected_draws = np.stack([replicate_draw(root, m, 9, r) for r in range(1, 8)])
+    expected = np.stack([standardize_alone(x) for x in expected_draws])
+    draws, blocks = [], []
+
+    def recording_standardize(data):
+        draws.append(data.copy())
+        return _standardize(data)
+
+    def recording_statistics(block, plan):
+        blocks.append(block.copy())
+        return np.zeros(len(block)), np.ones((len(block), n))
+
+    monkeypatch.setattr(normtest, "_standardize", recording_standardize)
+    monkeypatch.setattr(normtest, "_block_statistics", recording_statistics)
+    # seven replicates in whole blocks (in 3-D at m = 5000: four, then a
+    # partial three), then in blocks of three, the last one partial
+    for block_values in (_BLOCK_VALUES, 3 * m * n):
+        monkeypatch.setattr(normtest, "_BLOCK_VALUES", block_values)
+        draws.clear()
+        blocks.clear()
+        _replicate_statistics(root, m, None, 9, 1, 8)
+        assert len(blocks) > 1 or block_values == _BLOCK_VALUES
+        np.testing.assert_array_equal(np.concatenate(draws), expected_draws)
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-7, 1e-200])
+def test_observed_sample_standardizes_as_the_oracle_at_extreme_scales(scale):
+    # a one-sample stack, and a stack beside a sample at unit scale, take
+    # the rescaled moments of that sample alone
+    rng = np.random.default_rng(92)
+    for data in (rng.standard_normal((60, 1)), rng.standard_normal((60, 2)),
+                 rng.standard_normal((60, 3))):
+        x = scale * data
+        np.testing.assert_array_equal(_standardize(x[None])[0], standardize_alone(x))
+        np.testing.assert_array_equal(_standardize(np.stack([data, x])),
+                                      [standardize_alone(data), standardize_alone(x)])
+
+
+def test_stack_with_a_degenerate_sample_raises_as_that_sample_alone():
+    z = np.random.default_rng(96).standard_normal((30, 2))
+    for good, bad in ((z[:, :1], np.full((30, 1), 5.0)),
+                      (z, np.column_stack((z[:, 0], 2.0 * z[:, 0])))):
+        with pytest.raises(DegenerateSampleError) as alone:
+            _standardize(bad[None])
+        with pytest.raises(DegenerateSampleError) as stacked:
+            _standardize(np.stack([good, bad, good]))
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_singular_bootstrap_replicate_names_the_replication():
+    # the observed covariance ratio (2.5e-12) passes the 1e-12 floor, and
+    # some replicates drawn from its shape fall under it
+    z = np.random.default_rng(5).standard_normal((20, 2))
+    x = np.column_stack((z[:, 0], math.sqrt(1.5e-12) * z[:, 1]))
+    _fitted_root(x)
+    with pytest.raises(DegenerateSampleError,
+                       match=r"^bootstrap replication \d+: sample covariance is "
+                             r"singular; the fitted covariance is too close to "
+                             r"singular .*eigenvalue 2\.5\de-12"):
+        monte_carlo_pvalue(Sample(x), reps=99, seed=1)
 
 
 def test_non_lattice_steps_fall_back():
