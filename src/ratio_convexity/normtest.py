@@ -227,7 +227,8 @@ class _KernelDensity(DensityModel):
         range; see :func:`kernels.kde_log_density_table`."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = kernels.kde_log_density_table(
-                anchors, offsets, self._data, self._inv, self._log_norm)
+                anchors, offsets, self._data[None], self._inv[None],
+                [self._log_norm])[0]
         if not _in_log_density_range(values):
             _check_log_density_range(values, anchors + offsets[:, None, :])
         return values
@@ -313,7 +314,12 @@ def _grid_statistic(model, plan):
 class _LatticePlan:
     """Shared evaluation lattice for 1-D grids whose shifts and steps are
     integer multiples of the x spacing; lets one KDE evaluation pass serve
-    every (y, t) combination."""
+    every (y, t) combination.
+
+    The lattice is also a KDE table: point k is anchor a plus offset b for
+    k = a B + b, with B = ceil(sqrt(points)) offsets b * spacing and
+    A = ceil(points / B) anchors; the last A B - points values of a table
+    are computed and dropped."""
 
     points: np.ndarray
     spacing: float
@@ -321,6 +327,8 @@ class _LatticePlan:
     count: int
     pairs: tuple
     t_offsets: tuple
+    anchors: np.ndarray
+    offsets: np.ndarray
 
 
 def _lattice_plan(grid):
@@ -350,8 +358,13 @@ def _lattice_plan(grid):
     pairs = tuple((oy, ot, float(t))
                   for oy in y_offsets
                   for ot, t in zip(t_offsets, grid.steps))
+    offset_count = math.isqrt(total - 1) + 1
+    anchor_count = -(-total // offset_count)
+    anchors = float(points[0, 0]) + (np.arange(anchor_count) * offset_count) * spacing
+    offsets = np.arange(offset_count) * spacing
     return _LatticePlan(points=points, spacing=spacing, pad=pad, count=count,
-                        pairs=pairs, t_offsets=tuple(sorted(set(t_offsets))))
+                        pairs=pairs, t_offsets=tuple(sorted(set(t_offsets))),
+                        anchors=anchors[:, None], offsets=offsets[:, None])
 
 
 def _lattice_statistic(log_values, plan):
@@ -382,23 +395,25 @@ def _block_statistics(block, plan):
     plan the (m, R) view of the block passes the Silverman rule at once,
     each column's reductions running over contiguous values in the same
     order as for that sample alone, and one call of
-    :func:`kernels.kde_log_density_lattice` gives every sample's log f on
-    the lattice, each sample's values the bits it would have alone.
+    :func:`kernels.kde_log_density_table` over the lattice's anchors and
+    offsets gives every sample's log f on the lattice, each sample's values
+    the bits it would have alone.
     """
     if isinstance(plan, _GridPlan):
         bandwidths = np.array([_silverman_per_axis(z) for z in block])
         statistics = [_grid_statistic(_KernelDensity(z, h), plan)
                       for z, h in zip(block, bandwidths)]
         return np.array(statistics), bandwidths
-    samples = block[:, :, 0]
-    m = samples.shape[1]
-    bandwidths = _silverman_per_axis(samples.T)
+    width, m, _ = block.shape
+    bandwidths = _silverman_per_axis(block[:, :, 0].T)
     log_norms = [-(math.log(m) + math.log(h) + 0.5 * _LOG_2PI)
                  for h in bandwidths.tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
-        log_values = kernels.kde_log_density_lattice(
-            float(plan.points[0, 0]), plan.spacing, plan.points.shape[0],
-            samples, 1.0 / bandwidths, log_norms)
+        tables = kernels.kde_log_density_table(
+            plan.anchors, plan.offsets, block, 1.0 / bandwidths[:, None],
+            log_norms)
+    # tables[r, b, a] is lattice point a B + b of sample r
+    log_values = tables.transpose(2, 1, 0).reshape(-1, width)[:plan.points.shape[0]]
     _check_log_density_range(log_values, plan.points)
     return _lattice_statistic(log_values, plan), bandwidths[:, None]
 
@@ -480,12 +495,17 @@ def _replicate_statistics(root, m, plan, seed, start, stop):
 
     Replication r is m draws from N(0, root root') on its own substream.
     The replicates are drawn into (R, m, n) blocks of at most _BLOCK_VALUES
-    values (one replicate when m n exceeds it); each block is multiplied
-    by the root (exactly [[1.0]] in 1-D, so skipped there), standardized
-    and passes :func:`_block_statistics` once.
+    values (one replicate when m n exceeds it); on a lattice with more
+    points than m, R times the point count is held to that bound too, as
+    the block's log f and statistic hold (points, R) arrays.  Each block is
+    multiplied by the root (exactly [[1.0]] in 1-D, so skipped there),
+    standardized and passes :func:`_block_statistics` once.
     """
     n = root.shape[0]
-    width = max(1, _BLOCK_VALUES // (m * n))
+    size = m
+    if isinstance(plan, _LatticePlan):
+        size = max(m, plan.points.shape[0])
+    width = max(1, _BLOCK_VALUES // (size * n))
     statistics = np.empty(stop - start)
     for lo in range(start, stop, width):
         block = np.empty((min(width, stop - lo), m, n))

@@ -137,8 +137,8 @@ def _table_and_rows(plan, data, bandwidths):
     rows = (plan.anchors + plan.offsets[:, None, :]).reshape(-1, n)
 
     def table_call():
-        return kernels.kde_log_density_table(plan.anchors, plan.offsets, data,
-                                             inv, log_norm)
+        return kernels.kde_log_density_table(plan.anchors, plan.offsets, data[None],
+                                             inv[None], [log_norm])[0]
 
     def direct_call():
         return kernels.kde_log_density_batch(rows, data, inv, log_norm)
@@ -215,8 +215,8 @@ def test_table_memory_does_not_grow_with_m_or_anchors(m, points):
     log_norm = log_norm_of(data, bandwidths)
     tracemalloc.start()
     try:
-        table = kernels.kde_log_density_table(plan.anchors, plan.offsets, data,
-                                              1.0 / bandwidths, log_norm)
+        table = kernels.kde_log_density_table(plan.anchors, plan.offsets, data[None],
+                                              1.0 / bandwidths[None], [log_norm])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -227,7 +227,71 @@ def test_table_memory_does_not_grow_with_m_or_anchors(m, points):
     assert peak - table.nbytes - 2 * plan.anchors.nbytes < 2 * 2 ** 20
 
 
-# ---------------------------------------------------- the factored lattice
+# ------------------------------------------------------- stacked samples
+
+
+def _stack(n, m, draws, seed):
+    """Standardized samples of size m in n dimensions, one per draw, as an
+    (R, m, n) stack with their Silverman inverse bandwidths and
+    log-norms."""
+    rng = np.random.default_rng(seed)
+    stack, bandwidths = [], []
+    for draw in draws:
+        if draw == "t3":
+            x = rng.standard_t(3, size=(m, n))
+        elif draw == "tied":
+            x = np.round(0.3 * rng.standard_normal((m, n)))
+        elif draw == "outlier":
+            x = rng.standard_normal((m, n))
+        else:
+            x = getattr(rng, draw)(size=(m, n))
+        z = normtest._standardize(x)
+        h = normtest._silverman_per_axis(z)
+        if draw == "outlier":
+            # one observation about 1e3 bandwidths out along the first axis
+            z[0, 0] = 1e3 * h[0]
+        stack.append(z)
+        bandwidths.append(h)
+    bandwidths = np.array(bandwidths)
+    log_norms = np.array([log_norm_of(z, h) for z, h in zip(stack, bandwidths)])
+    return np.array(stack), 1.0 / bandwidths, log_norms
+
+
+def _stacked_call(plan, samples, inv, log_norms):
+    return kernels.kde_log_density_table(plan.anchors, plan.offsets, samples,
+                                         inv, log_norms)
+
+
+_STACK_DRAWS = ("standard_normal", "t3", "outlier", "laplace", "standard_cauchy",
+                "standard_normal", "standard_normal", "laplace", "t3")
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_stacked_table_is_each_sample_alone(dimension):
+    # each sample's slice of a stacked call is the bits of its own call,
+    # wide spans (the outlier, the Cauchy sample) and partial stacks
+    # included
+    if dimension == 1:
+        plan, m = normtest._lattice_plan(normtest.default_test_grid(1)), 200
+    else:
+        plan, m = _grid_plan(ProbeGrid.for_dimension(
+            dimension, x_min=-3.0, x_max=3.0, points=3,
+            y_magnitudes=(0.5, 1.0, 2.0), steps=(0.2, 0.4))), 20
+    samples, inv, log_norms = _stack(dimension, m, _STACK_DRAWS, 8200 + dimension)
+    # stacks of at least two samples
+    per_sample = (plan.anchors.shape[0] + plan.offsets.shape[0]) * m
+    assert 2 * per_sample <= kernels._CHUNK_VALUES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _stacked_call(plan, samples, inv, log_norms)
+    assert stacked.shape == (len(_STACK_DRAWS), plan.offsets.shape[0],
+                             plan.anchors.shape[0])
+    for r in range(len(_STACK_DRAWS)):
+        alone = _stacked_call(plan, samples[r:r + 1], inv[r:r + 1], log_norms[r:r + 1])
+        assert stacked[r].tolist() == alone[0].tolist(), _STACK_DRAWS[r]
+
+
+# ------------------------------------------------ the 1-D lattice as a table
 
 
 def _lattices():
@@ -240,37 +304,13 @@ def _lattices():
     return {"default": default, "far-step": far}
 
 
-def _lattice_block(m, draws, seed):
-    """Standardized 1-D samples of size m, one per draw, as an (R, m)
-    block with their Silverman inverse bandwidths and log-norms."""
-    rng = np.random.default_rng(seed)
-    rows, bandwidths = [], []
-    for draw in draws:
-        if draw == "t3":
-            x = rng.standard_t(3, size=m)
-        elif draw == "tied":
-            x = np.round(0.3 * rng.standard_normal(m))
-        elif draw == "outlier":
-            x = rng.standard_normal(m)
-        else:
-            x = getattr(rng, draw)(size=m)
-        z = normtest._standardize(x.reshape(-1, 1))
-        h = normtest._silverman_per_axis(z)[0]
-        if draw == "outlier":
-            # one observation about 1e3 bandwidths out
-            z[0, 0] = 1e3 * h
-        rows.append(z[:, 0])
-        bandwidths.append(h)
-    samples = np.array(rows)
-    bandwidths = np.array(bandwidths)
-    log_norms = -(np.log(m) + np.log(bandwidths) + 0.5 * np.log(2.0 * np.pi))
-    return samples, 1.0 / bandwidths, log_norms
-
-
 def _lattice_call(plan, samples, inv, log_norms):
-    return kernels.kde_log_density_lattice(
-        float(plan.points[0, 0]), plan.spacing, plan.points.shape[0],
-        samples, inv, log_norms)
+    """Log f of (R, m, 1) samples on a lattice plan's points, as the
+    (points, R) array of the 1-D test: lattice point a B + b is anchor a
+    plus offset b."""
+    tables = _stacked_call(plan, samples, inv, log_norms)
+    values = tables.transpose(0, 2, 1).reshape(samples.shape[0], -1)
+    return values[:, :plan.points.shape[0]].T
 
 
 _LATTICE_DRAWS = ("standard_normal", "t3", "laplace", "standard_cauchy",
@@ -281,65 +321,56 @@ _LATTICE_DRAWS = ("standard_normal", "t3", "laplace", "standard_cauchy",
 @pytest.mark.parametrize("m", [20, 200, 500, 5000])
 def test_lattice_matches_direct_kernel(lattice, m):
     plan = _lattices()[lattice]
-    samples, inv, log_norms = _lattice_block(m, _LATTICE_DRAWS, 8000 + m)
+    samples, inv, log_norms = _stack(1, m, _LATTICE_DRAWS, 8000 + m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = _lattice_call(plan, samples, inv, log_norms)
         assert values.shape == (plan.points.shape[0], len(_LATTICE_DRAWS))
         for r, draw in enumerate(_LATTICE_DRAWS):
             direct = kernels.kde_log_density_batch(
-                plan.points, samples[r, :, None], inv[r:r + 1], log_norms[r])
+                plan.points, samples[r], inv[r], log_norms[r])
             gap = np.abs(values[:, r] - direct)
             assert np.all(gap <= TABLE_RTOL * (1.0 + np.abs(direct))), draw
-
-
-def _lattice_shape(count):
-    """Anchors and offsets of a lattice of ``count`` points from 0 at
-    spacing 0.1: ceil(sqrt(count)) offsets, and as many anchors as cover
-    the points."""
-    offset_count = int(np.ceil(np.sqrt(count)))
-    anchor_count = -(-count // offset_count)
-    return (np.arange(anchor_count) * offset_count * 0.1,
-            np.arange(offset_count) * 0.1)
 
 
 @pytest.mark.parametrize("m, draw", [(200, "outlier"), (200, "standard_cauchy"),
                                      (5000, "standard_normal")])
 def test_lattice_routes_a_sample_to_the_table_alone(m, draw):
-    # a wide offset span (a far outlier, a heavy tail) or a sample whose
-    # buffers pass the chunk sends it to the table; its neighbour in the
-    # block stays in the batch and keeps the bits it has alone
+    # a wide offset span (a far outlier, a heavy tail) takes a sample out
+    # of its stack, and a sample whose buffers pass the chunk has no
+    # stack; it and its neighbour in the block keep the bits each has
+    # alone, and its wide offsets are the direct kernel's bits
     plan = _lattices()["default"]
-    count = plan.points.shape[0]
-    samples, inv, log_norms = _lattice_block(m, ("standard_normal", draw), 8100 + m)
-    values = kernels.kde_log_density_lattice(0.0, 0.1, count, samples, inv, log_norms)
-    anchors, offsets = _lattice_shape(count)
-    assert (anchors.size + offsets.size) * m > kernels._CHUNK_VALUES or (
-        np.ptp(samples[1]) * inv[1] * offsets[-1] * inv[1] > kernels._SPAN_LIMIT)
-    table = kernels.kde_log_density_table(anchors[:, None], offsets[:, None],
-                                          samples[1, :, None], inv[1:], log_norms[1])
-    assert values[:, 1].tolist() == table.T.reshape(-1)[:count].tolist()
-    alone = kernels.kde_log_density_lattice(0.0, 0.1, count, samples[:1], inv[:1],
-                                            log_norms[:1])
-    assert values[:, 0].tolist() == alone[:, 0].tolist()
+    samples, inv, log_norms = _stack(1, m, ("standard_normal", draw), 8100 + m)
+    tables = _stacked_call(plan, samples, inv, log_norms)
+    spans = np.ptp(samples[1, :, 0]) * inv[1, 0] * plan.offsets[:, 0] * inv[1, 0]
+    wide = spans > kernels._SPAN_LIMIT
+    per_sample = (plan.anchors.shape[0] + plan.offsets.shape[0]) * m
+    assert per_sample > kernels._CHUNK_VALUES or wide.any()
+    for r in range(2):
+        alone = _stacked_call(plan, samples[r:r + 1], inv[r:r + 1], log_norms[r:r + 1])
+        assert tables[r].tolist() == alone[0].tolist()
+    rows = (plan.anchors + plan.offsets[wide, None, :]).reshape(-1, 1)
+    direct = kernels.kde_log_density_batch(rows, samples[1], inv[1], log_norms[1])
+    assert tables[1, wide].reshape(-1).tolist() == direct.tolist()
 
 
 @pytest.mark.parametrize("width, m", [(327, 200), (1, 100_000)])
 def test_lattice_memory_stays_near_one_chunk(width, m):
-    # a full bootstrap block at m = 200, and one sample too large for the
-    # batch, which the table takes alone
+    # a full bootstrap block at m = 200, and one sample too large for a
+    # stack, which goes alone
     plan = _lattices()["default"]
     rng = np.random.default_rng(6200)
-    samples = rng.standard_normal((width, m))
-    inv = np.full(width, 1.0 / 0.3)
-    log_norms = np.full(width, -np.log(m) + np.log(inv[0]) - 0.5 * np.log(2.0 * np.pi))
+    samples = rng.standard_normal((width, m, 1))
+    inv = np.full((width, 1), 1.0 / 0.3)
+    log_norms = np.full(width, -np.log(m) + np.log(inv[0, 0]) - 0.5 * np.log(2.0 * np.pi))
     tracemalloc.start()
     try:
-        values = _lattice_call(plan, samples, inv, log_norms)
+        tables = _stacked_call(plan, samples, inv, log_norms)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # beyond its output (and two scaled copies of one sample, 0.8 MB each
-    # at m = 100,000), the block held 0.52 MB in chunks of seven samples,
-    # and the large sample 1.6 MB, one offset row and one anchor row
-    assert peak - values.nbytes - 2 * samples[0].nbytes < 2 * 2 ** 20
+    # at m = 100,000), the block held 0.37 MB in stacks of seven samples,
+    # and the large sample 1.5 MB, one offset row and one anchor row
+    assert peak - tables.nbytes - 2 * samples[0].nbytes < 2 * 2 ** 20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -441,6 +442,24 @@ def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
     # the observed sample, then 99 replicates in blocks of 65536 // 5000
     assert shapes == [(1, 5000, 1)] + [(13, 5000, 1)] * 7 + [(8, 5000, 1)]
     assert all(width * m * n <= _BLOCK_VALUES for width, m, n in shapes)
+
+
+def test_fine_lattice_bootstrap_blocks_stay_small():
+    # 12,001 grid points pad to a 21,601-point lattice, and a block holds
+    # several (lattice points, R) arrays: blocks sized by m alone (327
+    # replicates at m = 200) peaked at 28 MB for these 40 replicates and
+    # 218 MB for 327; blocks of 65536 // 21601 = 3 replicates hold 4.3 MB
+    plan = _lattice_plan(ProbeGrid.for_dimension(
+        1, x_min=-3.0, x_max=3.0, points=12001, y_magnitudes=(0.5, 1.0, 2.0),
+        steps=(0.2, 0.4)))
+    assert plan.points.shape[0] == 21601
+    tracemalloc.start()
+    try:
+        _replicate_statistics(np.ones((1, 1)), 200, plan, 0, 1, 41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
