@@ -3,10 +3,13 @@
 The statistic scans second differences of the log translation ratio of a
 Gaussian-kernel density estimate: for an exactly Gaussian density they all
 vanish, and smoothing by a Gaussian kernel preserves Gaussianity, so the
-statistic concentrates near zero under the null and picks up log-density
-curvature (kinks, heavy tails, multimodality) otherwise.  Calibration is by
-parametric bootstrap: refit a Gaussian, replicate, recompute the statistic
-through the identical pipeline, and rank the observed value.
+statistic concentrates near zero under the null.  It picks up a Laplace
+kink and heavy tails but, on the default grid, hardly light tails or
+bimodality: past the sample log f is one kernel, of curvature -1/h^2, and
+uniform samples, a +-2 normal mixture and exp(-x^4) were rejected less
+often than normal ones.  Calibration is by parametric bootstrap: refit a
+Gaussian, replicate, recompute the statistic through the identical
+pipeline, and rank the observed value.
 
 Samples are standardized (mean removed, covariance whitened) before the
 bandwidth and the KDE are formed, so the statistic does not change when a
@@ -33,7 +36,7 @@ import numpy as np
 from . import kernels
 from .density import DensityModel
 from .errors import DegenerateSampleError, UsageError
-from .probe import (ProbeGrid, _GridPlan,
+from .probe import (ProbeGrid,
                     _check_log_density_range, _grid_plan,
                     _in_log_density_range, _log_ratio_blocks, _offset_rows)
 
@@ -69,8 +72,8 @@ _MASK64 = (1 << 64) - 1
 #: full precision; outside, the moments are formed on a rescaled copy
 _MIN_SD = 2.0 ** -300
 _MAX_SD = 2.0 ** 300
-#: most sample values in one block of bootstrap replicates (R x m x n, one
-#: replicate per first index): 327 replicates at m=200 in 1-D, 13 at m=5000
+#: most values in a block of bootstrap replicates (R x m x n: 327 replicates
+#: at m=200 in 1-D, 13 at m=5000) and in one call's KDE tables, or one table
 _BLOCK_VALUES = 1 << 16
 
 
@@ -162,23 +165,36 @@ def _unit_scaled(values, axis=None):
 
 
 def _silverman_per_axis(data):
-    m = data.shape[0]
+    """Silverman bandwidths (..., n) of a sample (m, n), or of each sample
+    of a stack (..., m, n), each with the bits it has alone."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sd = data.std(axis=0, ddof=1)
-    if not all(_MIN_SD <= v <= _MAX_SD for v in sd.tolist()):
+        sd = data.std(axis=-2, ddof=1)
+        q25, q75 = np.percentile(data, [25.0, 75.0], axis=-2)
+        # with more than half the values tied the IQR is 0 while sd is not;
+        # Silverman (1986) then uses sd alone
+        spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
+    bandwidths = 0.9 * spread * data.shape[-2] ** (-0.2)
+    in_range = (_MIN_SD <= sd) & (sd <= _MAX_SD)
+    if not in_range.all():
         # squares of a sample near 1e+-200 over- or underflow: apply the
         # rule to an exactly rescaled copy and scale the bandwidths back
-        scaled, exponent = _unit_scaled(data, axis=0)
-        if np.any(exponent != 0):
-            return np.ldexp(_silverman_per_axis(scaled), exponent)
-    q25, q75 = np.percentile(data, [25.0, 75.0], axis=0)
-    # with more than half the values tied the IQR is 0 while sd is not;
-    # Silverman (1986) then uses sd alone
-    spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
-    if not all(0.0 < v < math.inf for v in spread.tolist()):
+        for index in map(tuple, np.argwhere(~in_range.all(axis=-1))):
+            scaled, exponent = _unit_scaled(data[index], axis=0)
+            if np.any(exponent != 0):
+                bandwidths[index] = np.ldexp(_silverman_per_axis(scaled), exponent)
+    if not 0.0 < bandwidths.min() <= bandwidths.max() < math.inf:
         raise DegenerateSampleError(
             "sample has an axis with no usable spread; bandwidth undefined")
-    return 0.9 * spread * m ** (-0.2)
+    return bandwidths
+
+
+def _log_norm(m, bandwidths):
+    """The KDE's additive constant -(log m + sum_j log h_j + n/2 log 2 pi),
+    from ``math.log`` (``np.log`` differs in the last bit on some h)."""
+    log_h = 0.0
+    for h in bandwidths:
+        log_h += math.log(h)
+    return -(math.log(m) + log_h + 0.5 * len(bandwidths) * _LOG_2PI)
 
 
 def bandwidth_silverman(sample):
@@ -195,9 +211,7 @@ def bandwidth_silverman(sample):
 class _KernelDensity(DensityModel):
     """Gaussian product-kernel KDE of an (m, n) sample with bandwidths h.
 
-    Besides the rows of any density model, it evaluates a whole table of
-    anchors plus offsets at once (:meth:`log_density_table`).  Its rows
-    are not range-checked; the grid evaluators check them.
+    Its rows are not range-checked; the grid evaluators check them.
     """
 
     closed_form = False
@@ -210,8 +224,7 @@ class _KernelDensity(DensityModel):
         self.bandwidths = bandwidths
         self._data = data
         self._inv = 1.0 / bandwidths
-        self._log_norm = -(math.log(m) + float(np.log(bandwidths).sum())
-                           + 0.5 * n * _LOG_2PI)
+        self._log_norm = _log_norm(m, bandwidths.tolist())
 
     def _log_density_one(self, point):
         return float(self._log_density_many(point.reshape(1, -1))[0])
@@ -220,18 +233,6 @@ class _KernelDensity(DensityModel):
         with np.errstate(over="ignore", invalid="ignore"):
             return kernels.kde_log_density_batch(points, self._data, self._inv,
                                                  self._log_norm)
-
-    def log_density_table(self, anchors, offsets):
-        """log f at every anchor plus every offset, as an (offsets,
-        anchors) array, refused by the finite-range rule where out of
-        range; see :func:`kernels.kde_log_density_table`."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = kernels.kde_log_density_table(
-                anchors, offsets, self._data[None], self._inv[None],
-                [self._log_norm])[0]
-        if not _in_log_density_range(values):
-            _check_log_density_range(values, anchors + offsets[:, None, :])
-        return values
 
 
 def kde_log_density(sample, bandwidth=None):
@@ -246,8 +247,10 @@ def kde_log_density(sample, bandwidth=None):
     if bandwidth is None:
         bandwidths = _silverman_per_axis(sample.data)
     else:
-        bandwidths = np.broadcast_to(
-            np.asarray(bandwidth, dtype=float), (n,)).copy()
+        try:
+            bandwidths = np.broadcast_to(np.asarray(bandwidth, float), (n,)).copy()
+        except (TypeError, ValueError):
+            raise UsageError(f"bandwidth must be a scalar or {n} values") from None
         if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
             raise UsageError("bandwidth must be positive and finite")
     return _KernelDensity(sample.data.copy(), bandwidths)
@@ -260,9 +263,14 @@ def violation_statistic(model, grid=None):
     coarse and fine steps compete on curvature rather than step size.
     """
     if grid is None and model.dimension <= MAX_TEST_DIMENSION:
-        return _grid_statistic(model, _default_plan(model.dimension))
-    grid = _statistic_grid(grid, model.dimension)
-    return _grid_statistic(model, _grid_plan(grid))
+        plan = _default_plan(model.dimension)
+    else:
+        plan = _grid_plan(_statistic_grid(grid, model.dimension))
+    # a KDE's log f comes as a table, any other model's in rows
+    if isinstance(model, _KernelDensity):
+        return float(_kde_statistics(model._data[None],
+                                     model.bandwidths[None], plan)[0])
+    return _grid_statistic(_offset_rows(model.log_density_many, plan), plan)
 
 
 @functools.lru_cache(maxsize=MAX_TEST_DIMENSION)
@@ -292,21 +300,14 @@ def _statistic_grid(grid, dimension):
     return grid
 
 
-def _grid_statistic(model, plan):
-    """The statistic of a model over a grid plan.  A KDE's log f comes as
-    one table over the plan's anchors and offsets, any other model's in
-    rows."""
-    if isinstance(model, _KernelDensity):
-        tables = (model.log_density_table(plan.anchors, plan.offsets),)
-    else:
-        tables = _offset_rows(model.log_density_many, plan)
+def _grid_statistic(tables, plan):
+    """The statistic over a grid plan of log f tables, one row per offset
+    (see :func:`_log_ratio_blocks`)."""
     best = 0.0
     for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(tables, plan):
         step = plan.steps[block % len(plan.steps)]
         d2 = phi_plus - 2.0 * phi_center + phi_minus
-        worst = float(np.max(np.abs(d2))) / (step * step)
-        if worst > best:
-            best = worst
+        best = max(best, float(np.max(np.abs(d2))) / (step * step))
     return best
 
 
@@ -322,7 +323,6 @@ class _LatticePlan:
     are computed and dropped."""
 
     points: np.ndarray
-    spacing: float
     pad: int
     count: int
     pairs: tuple
@@ -362,7 +362,7 @@ def _lattice_plan(grid):
     anchor_count = -(-total // offset_count)
     anchors = float(points[0, 0]) + (np.arange(anchor_count) * offset_count) * spacing
     offsets = np.arange(offset_count) * spacing
-    return _LatticePlan(points=points, spacing=spacing, pad=pad, count=count,
+    return _LatticePlan(points=points, pad=pad, count=count,
                         pairs=pairs, t_offsets=tuple(sorted(set(t_offsets))),
                         anchors=anchors[:, None], offsets=offsets[:, None])
 
@@ -387,35 +387,38 @@ def _lattice_statistic(log_values, plan):
 
 
 def _block_statistics(block, plan):
-    """Statistics (R,) and bandwidths (R, n) of R standardized samples.
+    """Statistics (R,) and bandwidths (R, n) of R standardized samples
+    (R, m, n), each the bits it has alone."""
+    bandwidths = _silverman_per_axis(block)
+    return _kde_statistics(block, bandwidths, plan), bandwidths
 
-    ``block`` is a C-ordered (R, m, n) array, one sample per first index.
-    On a grid plan each sample ``block[r]`` is a C-ordered (m, n) matrix
-    and passes bandwidth, KDE and grid statistic alone.  On a 1-D lattice
-    plan the (m, R) view of the block passes the Silverman rule at once,
-    each column's reductions running over contiguous values in the same
-    order as for that sample alone, and one call of
-    :func:`kernels.kde_log_density_table` over the lattice's anchors and
-    offsets gives every sample's log f on the lattice, each sample's values
-    the bits it would have alone.
-    """
-    if isinstance(plan, _GridPlan):
-        bandwidths = np.array([_silverman_per_axis(z) for z in block])
-        statistics = [_grid_statistic(_KernelDensity(z, h), plan)
-                      for z, h in zip(block, bandwidths)]
-        return np.array(statistics), bandwidths
-    width, m, _ = block.shape
-    bandwidths = _silverman_per_axis(block[:, :, 0].T)
-    log_norms = [-(math.log(m) + math.log(h) + 0.5 * _LOG_2PI)
-                 for h in bandwidths.tolist()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = kernels.kde_log_density_table(
-            plan.anchors, plan.offsets, block, 1.0 / bandwidths[:, None],
-            log_norms)
-    # tables[r, b, a] is lattice point a B + b of sample r
-    log_values = tables.transpose(2, 1, 0).reshape(-1, width)[:plan.points.shape[0]]
-    _check_log_density_range(log_values, plan.points)
-    return _lattice_statistic(log_values, plan), bandwidths[:, None]
+
+def _kde_statistics(samples, bandwidths, plan):
+    """Statistics (R,) of the KDEs of samples (R, m, n) with bandwidths (R, n)
+    over a plan, from their tables in sub-stacks of at most _BLOCK_VALUES
+    values (or one table): a lattice reads them as one (points, R) array."""
+    log_norms = [_log_norm(samples.shape[1], h) for h in bandwidths.tolist()]
+    stack = max(1, _BLOCK_VALUES // (len(plan.anchors) * len(plan.offsets)))
+    statistics = []
+    for lo in range(0, len(samples), stack):
+        part = slice(lo, lo + stack)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tables = kernels.kde_log_density_table(
+                plan.anchors, plan.offsets, samples[part],
+                1.0 / bandwidths[part], log_norms[part])
+        if isinstance(plan, _LatticePlan):
+            # tables[r, b, a] is lattice point a B + b of sample r
+            log_values = tables.transpose(2, 1, 0).reshape(-1, len(tables))
+            log_values = log_values[:len(plan.points)]
+            _check_log_density_range(log_values, plan.points)
+            statistics.extend(_lattice_statistic(log_values, plan))
+            continue
+        for table in tables:
+            if not _in_log_density_range(table):
+                _check_log_density_range(
+                    table, plan.anchors + plan.offsets[:, None, :])
+            statistics.append(_grid_statistic((table,), plan))
+    return np.array(statistics)
 
 
 def _covariance(centered):
@@ -495,17 +498,12 @@ def _replicate_statistics(root, m, plan, seed, start, stop):
 
     Replication r is m draws from N(0, root root') on its own substream.
     The replicates are drawn into (R, m, n) blocks of at most _BLOCK_VALUES
-    values (one replicate when m n exceeds it); on a lattice with more
-    points than m, R times the point count is held to that bound too, as
-    the block's log f and statistic hold (points, R) arrays.  Each block is
-    multiplied by the root (exactly [[1.0]] in 1-D, so skipped there),
-    standardized and passes :func:`_block_statistics` once.
+    values (one replicate when m n exceeds it).  Each block is multiplied
+    by the root (exactly [[1.0]] in 1-D, so skipped there), standardized
+    and passes :func:`_block_statistics` once.
     """
     n = root.shape[0]
-    size = m
-    if isinstance(plan, _LatticePlan):
-        size = max(m, plan.points.shape[0])
-    width = max(1, _BLOCK_VALUES // (size * n))
+    width = max(1, _BLOCK_VALUES // (m * n))
     statistics = np.empty(stop - start)
     for lo in range(start, stop, width):
         block = np.empty((min(width, stop - lo), m, n))
@@ -518,8 +516,8 @@ def _replicate_statistics(root, m, plan, seed, start, stop):
             block = _standardize(block)
         except DegenerateSampleError:
             raise _degenerate_replicate(block, lo, root) from None
-        statistics[lo - start:lo - start + len(block)], _ = (
-            _block_statistics(block, plan))
+        statistics[lo - start:lo - start + len(block)] = (
+            _block_statistics(block, plan)[0])
     return statistics
 
 

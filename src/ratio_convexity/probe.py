@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .density import as_point
 from .errors import InconclusiveScanError, UsageError
 
@@ -58,11 +59,6 @@ DEFAULT_POINTS_PER_AXIS = {1: 201, 2: 21, 3: 7}
 DIRECTION_SEED = 424242
 _EXTRA_DIRECTIONS = 8
 
-#: most rows handed to one ``log_density_many`` call by the grid evaluator.
-#: Closed-form models (a Gaussian's whitened copy, a custom function) build
-#: arrays as long as the call, so this bounds their per-call memory; the KDE
-#: kernel bounds its own, and its results and time do not depend on it
-_ROW_BUDGET = 8192
 #: log-densities of this magnitude or more are refused: a second difference
 #: of log h = log f(. + y) - log f(.) sums eight of them with weights +-1
 #: and +-2, so below it none overflows
@@ -346,12 +342,23 @@ def _check_log_density_range(log_values, points):
         "range")
 
 
+def _row_budget(dimension):
+    """Most rows of ``dimension`` coordinates handed to one
+    ``log_density_many`` call: the kernel's chunk of values.  Closed-form
+    models (a Gaussian's whitened copy, a custom function) build arrays as
+    long as the call, so this bounds their per-call memory; the KDE kernel
+    bounds its own, and the built-in models' values do not depend on it."""
+    return max(1, kernels._CHUNK_VALUES // dimension)
+
+
 def _log_density_rows(log_f, points):
-    """``log_f`` at each row, in calls of at most ``_ROW_BUDGET`` rows,
-    refused by :func:`_check_log_density_range` where out of range."""
+    """``log_f`` at each row, in calls of at most :func:`_row_budget`
+    rows, refused by :func:`_check_log_density_range` where out of
+    range."""
+    budget = _row_budget(points.shape[1])
     values = []
-    for start in range(0, points.shape[0], _ROW_BUDGET):
-        rows = points[start:start + _ROW_BUDGET]
+    for start in range(0, points.shape[0], budget):
+        rows = points[start:start + budget]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values.append(log_f(rows))
         _check_log_density_range(values[-1], rows)
@@ -420,14 +427,14 @@ def _offset_rows(log_f, plan):
     ``log_f`` maps an (N, n) array of points to their N log-densities.
     Each yielded array has one row per offset and one column per anchor:
     first the anchors themselves, then the anchors -/+ t d of as many
-    blocks as fit in ``_ROW_BUDGET`` rows, and so on.  log f is evaluated
+    blocks as fit in :func:`_row_budget` rows, and so on.  log f is evaluated
     once per distinct point, and every point is the float the per-shift
     stack ``x + y - t d`` would give, so the values do not depend on how
     the rows are grouped into calls.
     """
     width, n = plan.anchors.shape
     yield _log_density_rows(log_f, plan.anchors)[None]
-    per_call = 2 * max(1, _ROW_BUDGET // (2 * width))
+    per_call = 2 * max(1, _row_budget(n) // (2 * width))
     for start in range(1, len(plan.offsets), per_call):
         chunk = plan.offsets[start:start + per_call]
         points = (plan.anchors + chunk[:, None, :]).reshape(-1, n)

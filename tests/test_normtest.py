@@ -198,6 +198,13 @@ def test_kde_explicit_bandwidth():
         kde_log_density(Sample(data), bandwidth=-1.0)
 
 
+@pytest.mark.parametrize("bandwidth", [[1.0, 2.0, 3.0], [[1.0, 2.0]], "abc"])
+def test_kde_refuses_a_bandwidth_of_the_wrong_shape(bandwidth):
+    data = np.random.default_rng(62).standard_normal((30, 2))
+    with pytest.raises(UsageError, match="a scalar or 2 values"):
+        kde_log_density(Sample(data), bandwidth=bandwidth)
+
+
 # ------------------------------------------------------------- statistic
 
 
@@ -406,20 +413,33 @@ def test_block_bootstrap_equals_per_replicate_oracle(monkeypatch, m):
         assert partial.tolist() == batched.tolist(), name
 
 
-def test_block_statistics_equal_one_sample_calls():
-    plan = _lattice_plan(default_test_grid(1))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_block_statistics_equal_one_sample_calls(dimension):
+    # the 1-D lattice, and the 2-D grid plan, whose tables come two
+    # samples per kernel call, and the 3-D one, one per call
+    grid = default_test_grid(dimension)
+    plan = _lattice_plan(grid) or _grid_plan(grid)
     rng = np.random.default_rng(101)
-    samples = [rng.standard_normal(60), rng.laplace(size=60),
-               np.round(0.3 * rng.standard_normal(60)), rng.standard_t(3, size=60)]
-    block = np.stack([_standardize(s.reshape(-1, 1)) for s in samples])
+    shape = (60, dimension)
+    samples = [rng.standard_normal(shape), rng.laplace(size=shape),
+               np.round(0.3 * rng.standard_normal(shape)),
+               rng.standard_t(3, size=shape)]
+    block = np.stack([_standardize(s) for s in samples])
     statistics, bandwidths = _block_statistics(block, plan)
     for r in range(block.shape[0]):
         one_statistic, one_bandwidths = _block_statistics(block[r:r + 1], plan)
         assert statistics[r] == one_statistic[0]
-        assert bandwidths[r, 0] == one_bandwidths[0, 0] == _silverman_per_axis(block[r])[0]
+        assert (bandwidths[r].tolist() == one_bandwidths[0].tolist()
+                == _silverman_per_axis(block[r]).tolist())
 
+
+def test_lattice_statistic_reads_each_column_alone():
     # the lattice statistic alone, column by column, against the
     # pair-by-pair loop; a NaN lattice value is skipped like the loop skips it
+    plan = _lattice_plan(default_test_grid(1))
+    rng = np.random.default_rng(101)
+    samples = [rng.standard_normal(60), rng.laplace(size=60),
+               np.round(0.3 * rng.standard_normal(60)), rng.standard_t(3, size=60)]
     log_values = np.column_stack([
         kde_log_density(Sample(s)).log_density_many(plan.points) for s in samples])
     log_values[plan.pad + 7, 1] = np.nan
@@ -427,6 +447,35 @@ def test_block_statistics_equal_one_sample_calls():
     for r in range(log_values.shape[1]):
         alone = _lattice_statistic(log_values[:, r:r + 1], plan)
         assert together[r] == alone[0] == lattice_statistic_loop(log_values[:, r], plan)
+
+
+def test_kde_statistic_is_the_one_sample_block_statistic():
+    # on this sample np.log and math.log disagree on a bandwidth, and the
+    # statistic moves with the log-norm formula: the KDE and the bootstrap
+    # take the same one
+    z = _standardize(np.random.default_rng(1603).standard_normal((20, 2))[None])[0]
+    h = _silverman_per_axis(z)
+    assert [float(np.log(v)) for v in h.tolist()] != [math.log(v) for v in h.tolist()]
+    model = kde_log_density(Sample(z), h)
+    assert model._log_norm == -(math.log(20) + (math.log(h[0]) + math.log(h[1]))
+                                + math.log(2.0 * math.pi))
+    grid = default_test_grid(2)
+    statistics, _ = _block_statistics(z[None], _grid_plan(grid))
+    assert violation_statistic(model, grid) == statistics[0]
+
+
+def test_grid_block_tables_stay_small():
+    # 40 default 2-D tables of 546 x 41 values would take 7.2 MB at once;
+    # the block reads them two at a time
+    block = _standardize(np.random.default_rng(105).standard_normal((40, 40, 2)))
+    plan = _grid_plan(default_test_grid(2))
+    tracemalloc.start()
+    try:
+        _block_statistics(block, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
@@ -445,10 +494,10 @@ def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
 
 
 def test_fine_lattice_bootstrap_blocks_stay_small():
-    # 12,001 grid points pad to a 21,601-point lattice, and a block holds
-    # several (lattice points, R) arrays: blocks sized by m alone (327
-    # replicates at m = 200) peaked at 28 MB for these 40 replicates and
-    # 218 MB for 327; blocks of 65536 // 21601 = 3 replicates hold 4.3 MB
+    # 12,001 grid points pad to a 21,601-point lattice, whose tables and
+    # (lattice points, R) arrays all 40 replicates of a block at once took
+    # 28 MB (218 MB for 327); read 65536 // 21609 = 3 tables at a time,
+    # they hold 4.4 MB
     plan = _lattice_plan(ProbeGrid.for_dimension(
         1, x_min=-3.0, x_max=3.0, points=12001, y_magnitudes=(0.5, 1.0, 2.0),
         steps=(0.2, 0.4)))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ratio_convexity import kernels
 from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D, Quartic1D
 from ratio_convexity.errors import InconclusiveScanError, UsageError
 from ratio_convexity.normtest import Sample, default_test_grid, kde_log_density
 from ratio_convexity.probe import (
-    _ROW_BUDGET,
     ProbeGrid,
     PropertyKind,
     _distinct_rows,
@@ -345,6 +345,10 @@ def test_probe_matches_per_shift_oracle(model):
                         for w in verdict.witnesses] == expected
 
 
+#: most rows of one log f call in 3-D: the kernel's chunk of values
+ROWS_3D = kernels._CHUNK_VALUES // 3
+
+
 def _recording_gaussian_3d(calls):
     gaussian = Gaussian(GaussianParams(np.zeros(3), np.eye(3)))
 
@@ -363,7 +367,7 @@ def test_probe_properties_evaluate_log_f_once():
     assert len(verdicts) == 5
     # all five properties cost what one did: each distinct point once
     assert sum(calls) == (343 + 9408) * 67
-    assert max(calls) <= _ROW_BUDGET
+    assert max(calls) <= ROWS_3D
 
 
 def test_probe_properties_keeps_order_and_validates():
@@ -385,8 +389,8 @@ def test_probe_calls_stay_within_row_budget():
     probe_property(model, "log-convex", grid)
     # the budget is below the largest per-shift stack of the default grids
     # (n = 2: (2 + 4 * 30) * 441 rows)
-    assert _ROW_BUDGET <= 53802
-    assert max(calls) <= _ROW_BUDGET
+    assert ROWS_3D <= 53802
+    assert max(calls) <= ROWS_3D
     # each distinct point once: 343 base points and 9408 distinct shifted
     # centres, each at itself and at +/- t d for 11 directions x 3 steps
     assert sum(calls) == (343 + 9408) * 67
@@ -394,7 +398,7 @@ def test_probe_calls_stay_within_row_budget():
     calls.clear()
     big = ProbeGrid.for_dimension(3, points=25, y_magnitudes=(0.3,), steps=(0.1,))
     probe_property(model, "log-convex", big)
-    assert max(calls) <= _ROW_BUDGET
+    assert max(calls) <= ROWS_3D
     assert sum(calls) == (25 ** 3 + 6 * 25 ** 3) * 23
 
 
