@@ -28,9 +28,9 @@ exp per (anchor, offset, observation).  Each sum is stabilized by its
 anchor's largest term and its offset's largest term.  The offset's terms
 exp(e'.v_j - max) span exp(-span) to 1, where span is the range of e'.v_j
 over the observations; the anchor's largest term meets one of them, so a
-table sum is at least exp(-span).  Offsets whose span exceeds
-``_SPAN_LIMIT`` (a far outlier, a long step) take the direct kernel
-instead, so no sum underflows.
+table sum is at least exp(-span).  Every offset is factored, and then
+the direct kernel redoes the rows of the offsets whose span exceeds
+``_SPAN_LIMIT`` (a far outlier, a long step), whose sums may underflow.
 
 The one-dimensional lattice of the normality test is such a table: each
 lattice point is one of about sqrt(points) anchors plus one of about
@@ -124,45 +124,61 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     |log f|, the offset's exponent span (at most ``_SPAN_LIMIT``) and
     |e'.(a' - c)|.
 
-    Samples whose (anchors + offsets) x m buffers fit in ``_CHUNK_VALUES``
-    go in stacks that fill it, and one stacked matrix product serves a
-    stack.  A larger sample goes alone, and so does each sample of a stack
-    in which an offset's span passes ``_SPAN_LIMIT`` (or is NaN).  Offsets
-    are taken in groups of at most ``_CHUNK_VALUES // m`` (a stack's make
-    one group) and anchors in chunks whose (anchor, observation) and
-    (anchor, offset) buffers together hold at most about ``_CHUNK_VALUES``
-    values (fewer when the product would pass ``_PRODUCT_TERMS``), and a
-    lone sample's offsets past the span limit go to the direct kernel in
-    calls of about ``_CHUNK_VALUES`` rows.  So a call needs those buffers,
-    the scaled copies of its inputs and its output, whatever m or the
-    anchor count.  Stacked or alone, a sample passes the same operations
-    on its own values, and a stacked product multiplies each sample's
-    matrices on their own, so its values are the bits it has alone.
+    Every offset of every sample is factored.  Samples whose (anchors +
+    offsets) x m buffers fit in ``_CHUNK_VALUES`` go in stacks that fill
+    it, and one stacked matrix product serves a stack; a larger sample goes
+    alone.  Offsets are taken in groups of at most ``_CHUNK_VALUES // m``
+    (a stack's make one group) and anchors in chunks whose (anchor,
+    observation) and (anchor, offset) buffers together hold at most about
+    ``_CHUNK_VALUES`` values (fewer when the product would pass
+    ``_PRODUCT_TERMS``).  Then the direct kernel redoes each (sample,
+    offset) row whose span passes ``_SPAN_LIMIT`` (or is NaN), in calls of
+    about ``_CHUNK_VALUES`` values.  So a call needs those buffers, the
+    scaled copies of its inputs and its output, whatever m or the anchor
+    count.  Stacked or alone, a sample passes the same operations on its
+    own values, and a stacked product multiplies each sample's matrices on
+    their own, so its values are the bits it has alone.  No floating-point
+    warning is raised: a value past double range comes back inf or NaN,
+    for the caller to check.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
     inv = np.asarray(inv_bandwidths, dtype=np.float64)
     log_norms = np.asarray(log_norms, dtype=np.float64)
-    width, m, _ = samples.shape
+    width, m, n = samples.shape
+    total = anchors.shape[0]
     # the linear terms are taken about each sample's midrange, so that they
     # stay the size of the sample's spread wherever the sample lies; the
     # inverse bandwidths are positive, so the extremes scale to the bits
     # of the scaled values' extremes
     centre = 0.5 * (samples.max(axis=1) * inv + samples.min(axis=1) * inv)
-    out = np.empty((width, offsets.shape[0], anchors.shape[0]))
-    stack = max(1, _CHUNK_VALUES // ((anchors.shape[0] + offsets.shape[0]) * m))
-    for first in range(0, width, stack):
-        chunk = slice(first, first + stack)
-        _fill_table(out[chunk], anchors, offsets, samples[chunk], inv[chunk],
-                    centre[chunk], log_norms[chunk])
+    out = np.empty((width, offsets.shape[0], total))
+    wide = np.empty((width, offsets.shape[0]), dtype=bool)
+    stack = max(1, _CHUNK_VALUES // ((total + offsets.shape[0]) * m))
+    # a wide offset's factored log may be -inf or NaN until its row is redone
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for first in range(0, width, stack):
+            chunk = slice(first, first + stack)
+            wide[chunk] = _fill_table(out[chunk], anchors, offsets, samples[chunk],
+                                      inv[chunk], centre[chunk], log_norms[chunk])
+        # the direct kernel redoes the wide rows, a few offsets per call
+        per_call = max(1, _CHUNK_VALUES // total)
+        for r in np.flatnonzero(wide.any(axis=1)):
+            redo = np.flatnonzero(wide[r])
+            for start in range(0, redo.size, per_call):
+                batch = redo[start:start + per_call]
+                points = (anchors + offsets[batch, None, :]).reshape(-1, n)
+                out[r, batch] = kde_log_density_batch(
+                    points, samples[r], inv[r], log_norms[r]).reshape(-1, total)
     return out
 
 
 def _fill_table(out, anchors, offsets, samples, inv, centre, log_norms):
-    """Fill ``out`` with the tables of a stack of samples, from the
-    arguments of :func:`kde_log_density_table` and the samples' midranges
-    ``centre`` in bandwidth units."""
+    """Fill ``out`` with the factored tables of a stack of samples, from
+    the arguments of :func:`kde_log_density_table` and the samples'
+    midranges ``centre`` in bandwidth units, and return the (samples,
+    offsets) mask of the wide offsets, whose values the caller redoes."""
     scale = inv[:, None, :]
     scaled_anchors = anchors * scale
     data_t = np.ascontiguousarray((samples * scale).transpose(0, 2, 1))
@@ -170,47 +186,23 @@ def _fill_table(out, anchors, offsets, samples, inv, centre, log_norms):
     total = anchors.shape[0]
     centred_data = data_t - centre[:, :, None]
     centred_anchors = scaled_anchors - centre[:, None, :]
+    wide = np.empty((size, offsets.shape[0]), dtype=bool)
     group = max(1, _CHUNK_VALUES // m)
     for first in range(0, offsets.shape[0], group):
-        scaled_offsets = offsets[first:first + group] * scale
-        # in 1-D, the product's one term per entry; numpy forms it twice as
-        # fast by broadcasting as in its generic matrix loop
-        linear = (scaled_offsets * centred_data if n == 1
-                  else scaled_offsets @ centred_data)
-        peak = linear.max(axis=2)
-        # a NaN span (an offset past double range) fails the test too
-        factored = peak - linear.min(axis=2) <= _SPAN_LIMIT
-        if factored.all():
-            picked = slice(first, first + factored.shape[1])
-            weights = linear
-        elif size > 1:
-            # a stack's offsets are one group, so nothing is filled yet;
-            # its samples go alone
-            for r in range(size):
-                _fill_table(out[r:r + 1], anchors, offsets, samples[r:r + 1],
-                            inv[r:r + 1], centre[r:r + 1], log_norms[r:r + 1])
-            return
-        else:
-            # the direct kernel takes a lone sample's wide offsets, a few
-            # per call
-            factored = factored[0]
-            wide = first + np.flatnonzero(~factored)
-            per_call = max(1, _CHUNK_VALUES // total)
-            for start in range(0, wide.size, per_call):
-                batch = wide[start:start + per_call]
-                points = (anchors + offsets[batch, None, :]).reshape(-1, n)
-                out[0, batch] = kde_log_density_batch(
-                    points, samples[0], inv[0], log_norms[0]).reshape(-1, total)
-            if not factored.any():
-                continue
-            picked = first + np.flatnonzero(factored)
-            weights = linear[:, factored]
-            peak = peak[:, factored]
-            scaled_offsets = scaled_offsets[:, factored]
-        # the weights take over the exponents' buffer, and a group's
-        # buffers go before the next group's come: at m past _CHUNK_VALUES
-        # a call then holds one row of each beside its scaled samples
-        del linear
+        picked = slice(first, first + group)
+        scaled_offsets = offsets[picked] * scale
+        # the exponents' linear terms, whose buffer then holds the weights;
+        # in 1-D, the product's one term per entry, which numpy forms twice
+        # as fast by broadcasting as in its generic matrix loop
+        weights = (scaled_offsets * centred_data if n == 1
+                   else scaled_offsets @ centred_data)
+        peak = weights.max(axis=2)
+        # a NaN span (an offset past double range) is wide too
+        wide[:, picked] = ~(peak - weights.min(axis=2) <= _SPAN_LIMIT)
+        # a wide offset's row is redone, so its weights are set to 0 by an
+        # infinite shift: past the span limit they would hold subnormals,
+        # which made a lone 1-D sample's product 17 times slower
+        np.copyto(peak, np.inf, where=wide[:, picked])
         weights -= peak[:, :, None]
         np.exp(weights, out=weights)
         constant = (log_norms[:, None] + peak
@@ -232,4 +224,8 @@ def _fill_table(out, anchors, offsets, samples, inv, centre, log_norms):
             sums -= centred_anchors[:, start:stop] @ scaled_offsets.transpose(0, 2, 1)
             sums += constant[:, None, :]
             out[:, picked, start:stop] = sums.transpose(0, 2, 1)
+        # a group's buffers go before the next group's come: at m past
+        # _CHUNK_VALUES a call then holds one row of each beside its scaled
+        # samples
         del weights, quad, q, gap
+    return wide

@@ -402,10 +402,9 @@ def _kde_statistics(samples, bandwidths, plan):
     statistics = []
     for lo in range(0, len(samples), stack):
         part = slice(lo, lo + stack)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tables = kernels.kde_log_density_table(
-                plan.anchors, plan.offsets, samples[part],
-                1.0 / bandwidths[part], log_norms[part])
+        tables = kernels.kde_log_density_table(
+            plan.anchors, plan.offsets, samples[part],
+            1.0 / bandwidths[part], log_norms[part])
         if isinstance(plan, _LatticePlan):
             # tables[r, b, a] is lattice point a B + b of sample r
             log_values = tables.transpose(2, 1, 0).reshape(-1, len(tables))

@@ -558,22 +558,18 @@ def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):
 def replay_witness(model, witness):
     """Recompute a witness margin from its stored evaluation points.
 
-    Uses the same arithmetic as the probe, so a sound witness reproduces its
-    recorded margin to within 1e-12 (typically bit-for-bit).
+    Uses the probe's arithmetic: log f at (x + y) -/+ t d and x -/+ t d in
+    one ``log_density_many`` call, and the probe's margin formula, so a
+    witness of a built-in model or a KDE replays its recorded margin bit
+    for bit.
     """
-    y = witness.y
-    phi = [model.log_density(point + y) - model.log_density(point)
-           for point in witness.triple]
-    phi_minus, phi_center, phi_plus = (float(v) for v in phi)
-    kind = witness.kind
-    if kind.on_log:
-        return phi_plus - 2.0 * phi_center + phi_minus
-    h_center = float(np.exp(phi_center))
-    if kind is PropertyKind.QUASI_CONVEX:
-        ridge = max(phi_plus, phi_minus)
-        return h_center * float(-np.expm1(ridge - phi_center))
-    relative = float(np.expm1(phi_plus - phi_center)) + float(np.expm1(phi_minus - phi_center))
-    return h_center * relative
+    offset = witness.step * witness.direction
+    centre = witness.x + witness.y
+    points = np.array((centre - offset, centre, centre + offset) + witness.triple)
+    log_f = model.log_density_many(points)
+    phi_minus, phi_center, phi_plus = log_f[:3] - log_f[3:]
+    margin, _ = _margins(witness.kind, phi_minus, phi_center, phi_plus, 0.0)
+    return float(margin)
 
 
 def concavity_impossibility_scan(model, grid=None, *, tolerance=None,

@@ -369,15 +369,19 @@ def test_test_grid_flags(run_cli, run_cli_json, normal_csv):
     assert code == 2
 
 
-def _nd_sample_csv(tmp_path, dimension):
-    """A seeded 2-D (50 rows, correlated) or 3-D (40 rows, axis scales 1,
-    2 and 1/2) normal sample as a header-less CSV."""
-    if dimension == 2:
+def _sample_csv(tmp_path, dimension, draw="normal"):
+    """A seeded sample as a header-less CSV: a 2-D (50 rows, correlated) or
+    3-D (40 rows, axis scales 1, 2 and 1/2) normal one, or a 1-D (300 rows)
+    or 2-D (60 rows) standard Cauchy one."""
+    if draw == "cauchy":
+        m, seed = {1: (300, 41), 2: (60, 43)}[dimension]
+        x = np.random.default_rng(seed).standard_cauchy((m, dimension))
+    elif dimension == 2:
         z = np.random.default_rng(21).standard_normal((50, 2))
         x = np.column_stack((z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]))
     else:
         x = np.random.default_rng(31).standard_normal((40, 3)) * [1.0, 2.0, 0.5]
-    path = tmp_path / f"normal_{dimension}d.csv"
+    path = tmp_path / f"{draw}_{dimension}d.csv"
     path.write_text("".join(",".join(repr(v) for v in row) + "\n"
                             for row in x.tolist()))
     return str(path)
@@ -395,11 +399,27 @@ def test_test_nd_regression(run_cli_json, tmp_path, dimension, statistic,
     # an n-D test runs on the grid plan and a KDE table; the replicate
     # margins keep the frozen p-values stable against rounding differences
     # between numpy and BLAS builds
-    report = run_cli_json(["test", "--input", _nd_sample_csv(tmp_path, dimension),
+    report = run_cli_json(["test", "--input", _sample_csv(tmp_path, dimension),
                            "--reps", "99", "--seed", "3"])["report"]
     assert report["statistic"] == pytest.approx(statistic, rel=1e-11)
     assert report["p_value"] == p_value
     assert report["bandwidth"] == pytest.approx(bandwidth, rel=1e-12)
+
+
+@pytest.mark.parametrize("dimension, statistic", [
+    (1, 102602.93637028329),
+    (2, 75013.44657363874),
+], ids=["1", "2"])
+def test_test_heavy_tail_regression(run_cli_json, tmp_path, dimension, statistic):
+    # a seeded Cauchy sample: most offsets of the observed KDE's table pass
+    # the span limit (10 of the 1-D lattice's 11, 40 of the 2-D grid's 41),
+    # so the direct kernel redoes their rows; the statistic lies far above
+    # every Gaussian replicate's
+    path = _sample_csv(tmp_path, dimension, "cauchy")
+    report = run_cli_json(["test", "--input", path,
+                           "--reps", "199", "--seed", "0"])["report"]
+    assert report["statistic"] == pytest.approx(statistic, rel=1e-11)
+    assert report["p_value"] == 0.005
 
 
 def test_test_1d_regression(run_cli_json, data_dir):
