@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, GaussianParams
+from .density import Custom, DensityModel, GaussianParams
 from .errors import ModelContractError, RankDeficientDesignError, UsageError
 
 __all__ = [
@@ -137,7 +137,8 @@ def fit_log_quadratic(logf, dimension, sample_points):
     Parameters
     ----------
     logf : callable or DensityModel
-        Log-density evaluator; a model uses its batch path.
+        Log-density evaluator; a plain callable of one point is wrapped in
+        :class:`Custom`, and either is read in one batch call.
     dimension : int
     sample_points : (N, n) array_like
         Needs at least (n+1)(n+2)/2 points in general position; a
@@ -166,10 +167,8 @@ def fit_log_quadratic(logf, dimension, sample_points):
             "sample_points are too large: their squares or products "
             "overflow the quadratic design")
 
-    if isinstance(logf, DensityModel):
-        values = logf.log_density_many(points)
-    else:
-        values = np.array([float(logf(p)) for p in points])
+    model = logf if isinstance(logf, DensityModel) else Custom(dimension, logf)
+    values = model.log_density_many(points)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ModelContractError(

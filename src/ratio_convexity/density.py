@@ -2,9 +2,10 @@
 
 Everything downstream (ratio analysis, grid probes, the fitter, the KDE
 test) works through the small interface defined here: a model knows its
-dimension and can evaluate its log-density at one point or at a batch of
-points.  All built-in models keep exact log-space formulas so that ratios of
-far-apart evaluations never overflow.
+dimension and implements its log-density on an (N, n) batch of points, once.
+A single point is a batch of one, so ``log_density(p)`` equals the matching
+row of ``log_density_many`` bit for bit.  All built-in models keep exact
+log-space formulas so that ratios of far-apart evaluations never overflow.
 """
 
 from __future__ import annotations
@@ -167,15 +168,13 @@ class DensityModel:
     closed_form: bool = True
     label: str = "density"
 
-    def _log_density_one(self, point):
+    def _log_density_many(self, points):
         raise NotImplementedError
 
-    def _log_density_many(self, points):
-        return np.array([self._log_density_one(p) for p in points])
-
     def log_density(self, x):
-        """Log-density at a single point (validated)."""
-        return self._log_density_one(as_point(x, self.dimension))
+        """Log-density at a single point (validated): a batch of one."""
+        point = as_point(x, self.dimension)
+        return float(self._log_density_many(point.reshape(1, -1))[0])
 
     def log_density_many(self, x):
         """Log-density at an (N, n) batch of points (validated)."""
@@ -200,9 +199,6 @@ class Gaussian(DensityModel):
         self._whiten = params.eigenvectors / np.sqrt(params.eigenvalues)
         self._whitened_mean = params.mean @ self._whiten
 
-    def _log_density_one(self, point):
-        return float(self._log_density_many(point.reshape(1, -1))[0])
-
     def _log_density_many(self, points):
         z = points @ self._whiten
         z -= self._whitened_mean
@@ -217,9 +213,6 @@ class Laplace1D(DensityModel):
 
     dimension = 1
     label = "laplace"
-
-    def _log_density_one(self, point):
-        return -abs(float(point[0])) - math.log(2.0)
 
     def _log_density_many(self, points):
         return -np.abs(points[:, 0]) - math.log(2.0)
@@ -243,10 +236,6 @@ class Quartic1D(DensityModel):
     def __init__(self):
         self._log_c = math.log(quartic_norm_constant())
 
-    def _log_density_one(self, point):
-        x = float(point[0])
-        return self._log_c - x ** 4
-
     def _log_density_many(self, points):
         x = points[:, 0]
         return self._log_c - x ** 4
@@ -255,8 +244,12 @@ class Quartic1D(DensityModel):
 class Custom(DensityModel):
     """User-supplied log-density evaluator, optionally with a batch form.
 
-    Outputs are checked: a NaN or +/-inf from the evaluator raises
-    :class:`ModelContractError` rather than silently corrupting a probe.
+    ``evaluator`` maps one point to log f.  A ``batch_evaluator``, when given,
+    maps an (N, n) array to N values and then serves every call, single
+    points included (a batch of one); without it the evaluator is looped
+    over the rows.  Outputs are checked: a NaN or +/-inf raises
+    :class:`ModelContractError`, naming the first bad value and its point,
+    rather than silently corrupting a probe.
     """
 
     closed_form = False
@@ -272,27 +265,20 @@ class Custom(DensityModel):
         self._evaluator = evaluator
         self._batch_evaluator = batch_evaluator
 
-    def _log_density_one(self, point):
-        value = float(self._evaluator(point))
-        if not math.isfinite(value):
-            raise ModelContractError(
-                f"evaluator returned {value!r} at {point.tolist()}"
-            )
-        return value
-
     def _log_density_many(self, points):
         if self._batch_evaluator is None:
-            return super()._log_density_many(points)
-        values = np.asarray(self._batch_evaluator(points), dtype=float)
-        if values.shape != (points.shape[0],):
-            raise ModelContractError(
-                f"batch evaluator returned shape {values.shape}, "
-                f"expected ({points.shape[0]},)"
-            )
+            values = np.array([float(self._evaluator(p)) for p in points])
+        else:
+            values = np.asarray(self._batch_evaluator(points), dtype=float)
+            if values.shape != (points.shape[0],):
+                raise ModelContractError(
+                    f"batch evaluator returned shape {values.shape}, "
+                    f"expected ({points.shape[0]},)"
+                )
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ModelContractError(
-                f"batch evaluator returned a non-finite value at {points[bad].tolist()}"
+                f"evaluator returned {float(values[bad])!r} at {points[bad].tolist()}"
             )
         return values
 

@@ -226,9 +226,6 @@ class _KernelDensity(DensityModel):
         self._inv = 1.0 / bandwidths
         self._log_norm = _log_norm(m, bandwidths.tolist())
 
-    def _log_density_one(self, point):
-        return float(self._log_density_many(point.reshape(1, -1))[0])
-
     def _log_density_many(self, points):
         with np.errstate(over="ignore", invalid="ignore"):
             return kernels.kde_log_density_batch(points, self._data, self._inv,

@@ -17,6 +17,8 @@ from ratio_convexity.density import (
     quartic_norm_constant,
 )
 from ratio_convexity.errors import ModelContractError, UsageError
+from ratio_convexity.normtest import Sample, kde_log_density
+from ratio_convexity.probe import ProbeGrid
 
 from _oracles import adaptive_simpson
 
@@ -110,13 +112,50 @@ def test_gaussian_matches_scipy_logpdf():
                                    np.atleast_1d(expected), rtol=1e-10)
 
 
-def test_gaussian_batch_matches_single():
+def _gaussian_case(n):
     rng = np.random.default_rng(3)
-    model = Gaussian(GaussianParams(rng.standard_normal(2), random_spd(rng, 2)))
-    points = rng.standard_normal((20, 2))
+    model = Gaussian(GaussianParams(rng.standard_normal(n), random_spd(rng, n)))
+    return model, rng.standard_normal((20, n))
+
+
+def _kde_case(n):
+    rng = np.random.default_rng(40 + n)
+    sample = Sample(rng.laplace(size=(40, n)))
+    return kde_log_density(sample), 2.0 * rng.standard_normal((30, n))
+
+
+# the scalar and the batch form round x**4 differently on some points
+def _quartic_point(p):
+    return -float(p[0]) ** 4
+
+
+def _quartic_rows(pts):
+    return -pts[:, 0] ** 4
+
+
+_PROBE_LINE = ProbeGrid.for_dimension(1).base_points()
+
+_ONE_ROUTE_CASES = {
+    "gaussian-1d": lambda: _gaussian_case(1),
+    "gaussian-2d": lambda: _gaussian_case(2),
+    "gaussian-3d": lambda: _gaussian_case(3),
+    "laplace": lambda: (Laplace1D(), _PROBE_LINE),
+    "quartic": lambda: (Quartic1D(), _PROBE_LINE),
+    "kde-1d": lambda: (_kde_case(1)[0], _PROBE_LINE),
+    "kde-2d": lambda: _kde_case(2),
+    "custom-scalar": lambda: (Custom(1, _quartic_point), _PROBE_LINE),
+    "custom-batch": lambda: (
+        Custom(1, _quartic_point, batch_evaluator=_quartic_rows), _PROBE_LINE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_ROUTE_CASES))
+def test_single_point_is_a_batch_of_one(case):
+    # every model has one log-density route: a point's value is its row of
+    # the batch, bit for bit (the 1-D cases read the default probe line)
+    model, points = _ONE_ROUTE_CASES[case]()
     batch = model.log_density_many(points)
-    singles = [model.log_density(p) for p in points]
-    np.testing.assert_allclose(batch, singles, rtol=1e-14)
+    assert [model.log_density(p) for p in points] == batch.tolist()
 
 
 def test_gaussian_requires_params_instance():
@@ -195,6 +234,15 @@ def test_custom_rejects_non_finite_output():
                        batch_evaluator=lambda pts: np.full(pts.shape[0], np.nan))
     with pytest.raises(ModelContractError):
         bad_batch.log_density_many(np.zeros((3, 1)))
+    # either kind names the first bad value and its point
+    points = np.array([[0.0], [1.5], [2.5]])
+    scalar = Custom(1, lambda p: math.inf if p[0] > 1.0 else 0.0)
+    with pytest.raises(ModelContractError, match=r"returned inf at \[1\.5\]"):
+        scalar.log_density_many(points)
+    batch = Custom(1, lambda p: 0.0,
+                   batch_evaluator=lambda pts: np.where(pts[:, 0] > 1.0, np.nan, 0.0))
+    with pytest.raises(ModelContractError, match=r"returned nan at \[1\.5\]"):
+        batch.log_density_many(points)
 
 
 def test_custom_rejects_wrong_batch_shape():
