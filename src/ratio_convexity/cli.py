@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -590,10 +591,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser():
+    """:func:`build_parser`'s parser, built on the first call of a process:
+    parsing reads it and changes nothing in it, so calls can share it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -186,6 +186,11 @@ def _fill_table(out, anchors, offsets, samples, inv, centre, log_norms):
     total = anchors.shape[0]
     centred_data = data_t - centre[:, :, None]
     centred_anchors = scaled_anchors - centre[:, None, :]
+    if n == 1:
+        # rounding is monotone, so an offset's largest and smallest linear
+        # terms are its products with the sample's extremes
+        extremes = np.concatenate((centred_data.max(axis=2),
+                                   centred_data.min(axis=2)), axis=1)[:, None, :]
     wide = np.empty((size, offsets.shape[0]), dtype=bool)
     group = max(1, _CHUNK_VALUES // m)
     for first in range(0, offsets.shape[0], group):
@@ -196,9 +201,10 @@ def _fill_table(out, anchors, offsets, samples, inv, centre, log_norms):
         # as fast by broadcasting as in its generic matrix loop
         weights = (scaled_offsets * centred_data if n == 1
                    else scaled_offsets @ centred_data)
-        peak = weights.max(axis=2)
+        ends = scaled_offsets * extremes if n == 1 else weights
+        peak = ends.max(axis=2)
         # a NaN span (an offset past double range) is wide too
-        wide[:, picked] = ~(peak - weights.min(axis=2) <= _SPAN_LIMIT)
+        wide[:, picked] = ~(peak - ends.min(axis=2) <= _SPAN_LIMIT)
         # a wide offset's row is redone, so its weights are set to 0 by an
         # infinite shift: past the span limit they would hold subnormals,
         # which made a lone 1-D sample's product 17 times slower

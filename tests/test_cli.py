@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ratio_convexity
+from ratio_convexity import cli
 from ratio_convexity.cli import build_parser, main, parse_samples_csv
 from ratio_convexity.errors import UsageError
 from ratio_convexity.probe import PropertyKind
@@ -693,6 +694,22 @@ def test_parser_builds_and_rejects_empty(run_cli):
     assert parser.prog == "ratio-convexity"
     code, _ = run_cli([])
     assert code == 2
+
+
+def test_repeated_main_calls_share_no_state(run_cli, run_cli_json):
+    # main reuses one parser per process: neither a call's values, appended
+    # ones included, nor its error reaches the next call
+    assert cli._shared_parser() is cli._shared_parser()
+    first = run_cli_json(["probe", "--model", "laplace", "--property", "log-convex",
+                          "--property", "concave"])
+    assert sorted(first["properties"]) == ["concave", "log-convex"]
+    second = run_cli_json(["probe", "--model", "laplace", "--property", "convex"])
+    assert list(second["properties"]) == ["convex"]
+    code, _ = run_cli(["probe", "--model", "cauchy"])
+    assert code == 2
+    code, text = run_cli(["counterexample", "laplace"])
+    assert code == 0
+    assert json.loads(text)["family"] == "laplace"
 
 
 def test_main_accepts_none_argv(monkeypatch, capsys):

@@ -373,6 +373,71 @@ def test_lattice_routes_a_sample_to_the_table_alone(m, draws):
         assert tables[r, wide[r]].reshape(-1).tolist() == direct.tolist()
 
 
+def _with_zero_axis(values, fill=0.0):
+    """1-D values (..., 1) with a second axis of ``fill``."""
+    return np.concatenate((values, np.full(values.shape[:-1] + (1,), fill)), axis=-1)
+
+
+def _fill_call(anchors, offsets, samples, inv, log_norms):
+    """``kernels._fill_table``'s tables and wide mask for one stack, with
+    the midranges that ``kde_log_density_table`` passes it."""
+    centre = 0.5 * (samples.max(axis=1) * inv + samples.min(axis=1) * inv)
+    out = np.empty((samples.shape[0], offsets.shape[0], anchors.shape[0]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        wide = kernels._fill_table(out, anchors, offsets, samples, inv, centre,
+                                   log_norms)
+    return out, wide
+
+
+@pytest.mark.parametrize("steps", [None, (20.05,), (1e4,)],
+                         ids=["default", "step-20.05", "step-1e4"])
+def test_1d_span_from_extremes_is_the_per_group_span(steps):
+    # in 1-D each offset's peak and span come from the sample's extremes.
+    # The same samples with a second axis of zeros take the n-D route,
+    # whose linear terms are the same products plus exact zeros and whose
+    # peak and span reduce each offset's m terms: the wide mask and every
+    # table value must be the same bits.  The default lattice has only
+    # offsets >= 0, the long steps' grid plans negative ones too; the last
+    # three offsets are past double range (an overflowing product, and an
+    # infinite scaled offset either way) and must count as wide
+    if steps is None:
+        plan = normtest._lattice_plan(normtest.default_test_grid(1))
+    else:
+        plan = _grid_plan(ProbeGrid.for_dimension(
+            1, x_min=-3.0, x_max=3.0, points=61, y_magnitudes=(0.5, 1.0, 2.0),
+            steps=steps))
+    offsets = np.concatenate((plan.offsets, [[1e307], [1e308], [-1e308]]))
+    samples, inv, log_norms = _stack(
+        1, 200, ("standard_normal", "outlier", "standard_cauchy", "t3"), 8300)
+    table, wide = _fill_call(plan.anchors, offsets, samples, inv, log_norms)
+    generic_table, generic_wide = _fill_call(
+        _with_zero_axis(plan.anchors), _with_zero_axis(offsets),
+        _with_zero_axis(samples), _with_zero_axis(inv, 1.0), log_norms)
+    assert wide.tolist() == generic_wide.tolist()
+    assert table[~wide].tobytes() == generic_table[~wide].tobytes()
+    # the per-group reference: the range of e'.(v_j - c) over the sample
+    scaled = samples[:, :, 0] * inv
+    centre = 0.5 * (scaled.max(axis=1) + scaled.min(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (offsets[:, 0] * inv)[:, :, None] * (scaled - centre[:, None])[:, None, :]
+        spans = terms.max(axis=2) - terms.min(axis=2)
+    assert wide.tolist() == (~(spans <= kernels._SPAN_LIMIT)).tolist()
+    assert wide[:, -3:].all() and not np.isfinite(spans[:, -3:]).any()
+    assert wide[:, :-3].any() and not wide[:, :-3].all()
+    if steps is not None:
+        # a long step is wide on a Gaussian sample too
+        assert wide[0, :-3].any()
+    # and the whole call, the direct kernel's rows included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = kernels.kde_log_density_table(plan.anchors, offsets, samples,
+                                              inv, log_norms)
+        generic = kernels.kde_log_density_table(
+            _with_zero_axis(plan.anchors), _with_zero_axis(offsets),
+            _with_zero_axis(samples), _with_zero_axis(inv, 1.0), log_norms)
+    assert whole.tobytes() == generic.tobytes()
+
+
 @pytest.mark.parametrize("width, m", [(327, 200), (1, 100_000)])
 def test_lattice_memory_stays_near_one_chunk(width, m):
     # a full bootstrap block at m = 200, and one sample too large for a

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ratio_convexity import normtest, probe
+from ratio_convexity import kernels, normtest, probe
 from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D
 from ratio_convexity.errors import DegenerateSampleError, UsageError
 from ratio_convexity.normtest import (
@@ -98,6 +98,39 @@ def test_substream_seeds_are_distinct():
     seeds = {substream_seed(7, r) for r in range(10_000)}
     assert len(seeds) == 10_000
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_substream_states_are_default_rng_states():
+    # _pcg64_states writes out numpy's SeedSequence hash and PCG64 seeding:
+    # a numpy that changes either fails here instead of moving every T*
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + np.random.default_rng(19).integers(
+        0, 2**64, 2000, dtype=np.uint64).tolist()
+    states = normtest._pcg64_states(seeds)
+    assert len(states) == len(seeds)
+    for seed, state in zip(seeds, states):
+        assert state == np.random.default_rng(seed).bit_generator.state, seed
+
+
+@pytest.mark.parametrize("width, m, n", [(199, 200, 1), (13, 40, 3)])
+def test_block_draws_are_default_rng_draws(monkeypatch, width, m, n):
+    # the replicates of one block, as _replicate_statistics draws them,
+    # bit for bit against a fresh default_rng per replicate
+    blocks = []
+
+    def recording_standardize(block):
+        blocks.append(block.copy())
+        return block
+
+    monkeypatch.setattr(normtest, "_standardize", recording_standardize)
+    monkeypatch.setattr(normtest, "_block_statistics",
+                        lambda block, plan: (np.zeros(len(block)), None))
+    # the identity root multiplies each draw by exactly 1
+    _replicate_statistics(np.eye(n), m, None, 11, 1, 1 + width)
+    assert [block.shape for block in blocks] == [(width, m, n)]
+    for r, draws in enumerate(blocks[0], 1):
+        expected = np.empty((m, n))
+        np.random.default_rng(substream_seed(11, r)).standard_normal(out=expected)
+        assert draws.tobytes() == expected.tobytes(), r
 
 
 # --------------------------------------------------------- thread budget
@@ -447,6 +480,32 @@ def test_lattice_statistic_reads_each_column_alone():
     for r in range(log_values.shape[1]):
         alone = _lattice_statistic(log_values[:, r:r + 1], plan)
         assert together[r] == alone[0] == lattice_statistic_loop(log_values[:, r], plan)
+
+
+@pytest.mark.parametrize("width", [3, normtest._WIDE_BLOCK + 24])
+def test_narrow_and_wide_lattice_blocks_read_each_column_alone(monkeypatch, width):
+    # a narrow block's lattice values are laid out sample by sample, a wide
+    # block's point by point; either way each statistic is its sample's
+    # table read alone by the loop
+    plan = _lattice_plan(default_test_grid(1))
+    rng = np.random.default_rng(1900 + width)
+    block = _standardize(rng.standard_normal((width, 60, 1)))
+    bandwidths = _silverman_per_axis(block)
+    layouts = []
+
+    def recording_statistic(log_values, plan):
+        layouts.append(log_values.strides[0] == log_values.itemsize)
+        return _lattice_statistic(log_values, plan)
+
+    monkeypatch.setattr(normtest, "_lattice_statistic", recording_statistic)
+    statistics = normtest._kde_statistics(block, bandwidths, plan)
+    assert layouts == [width < normtest._WIDE_BLOCK]
+    for r in range(width):
+        table = kernels.kde_log_density_table(
+            plan.anchors, plan.offsets, block[r:r + 1], 1.0 / bandwidths[r:r + 1],
+            [normtest._log_norm(60, bandwidths[r].tolist())])[0]
+        column = table.T.reshape(-1)[:len(plan.points)]
+        assert statistics[r] == lattice_statistic_loop(column, plan), r
 
 
 def test_kde_statistic_is_the_one_sample_block_statistic():
