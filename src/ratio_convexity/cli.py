@@ -31,7 +31,7 @@ from .density import (Custom, Gaussian, GaussianParams, Laplace1D,
                       LogQuadraticForm, Quartic1D)
 from .errors import (DegenerateSampleError, InconclusiveScanError,
                      ModelContractError, UsageError)
-from .normtest import (MAX_TEST_DIMENSION, Sample, _moments, _unit_scaled,
+from .normtest import (DEFAULT_ALPHAS, MAX_TEST_DIMENSION, Sample, _axis_moments,
                        default_test_grid, kde_log_density, test_normality)
 # probe_property is unused here, but perfbench/tracing.py wraps this binding
 from .probe import (ProbeGrid, PropertyKind, _log_density_rows,
@@ -169,11 +169,7 @@ def _probe_grid(args, model, sample):
     n = model.dimension
     if sample is None:
         return _apply_grid_flags(args, ProbeGrid.for_dimension(n))
-    # moments of the exactly rescaled sample, mapped back: no overflow or
-    # underflow at any scale
-    scaled, exponent = _unit_scaled(sample.data, axis=0)
-    sd = np.ldexp(scaled.std(axis=0, ddof=1), exponent)
-    mean = np.ldexp(scaled.mean(axis=0), exponent)
+    mean, sd = _axis_moments(sample.data)
     scale = float(sd.mean())
     if not (np.all(sd > 0) and np.isfinite(scale)):
         raise DegenerateSampleError("sample has an axis with zero spread")
@@ -321,8 +317,7 @@ def _fit_standardized(model, sample, lattice, fit_tol):
     Returns the report in x, the mean and the per-axis sd.
     """
     n = model.dimension
-    mean, _, cov, exponent = _moments(sample.data)
-    scale = np.ldexp(np.sqrt(np.diagonal(cov)), exponent)
+    mean, scale = _axis_moments(sample.data)
     standardized = Custom(
         n, evaluator=lambda z: model.log_density(mean + scale * z),
         batch_evaluator=lambda z: model.log_density_many(mean + scale * z))
@@ -414,11 +409,9 @@ def _run_test(args):
         grid = _apply_grid_flags(args, default_test_grid(sample.dimension))
 
     alphas = (tuple(_floats(args.alpha, "--alpha")) if args.alpha is not None
-              else None)
-    kwargs = {"grid": grid, "reps": args.reps, "seed": args.seed}
-    if alphas is not None:
-        kwargs["alphas"] = alphas
-    report = test_normality(sample, **kwargs)
+              else DEFAULT_ALPHAS)
+    report = test_normality(sample, grid=grid, reps=args.reps, seed=args.seed,
+                            alphas=alphas)
 
     bandwidth = report.bandwidth
     if isinstance(bandwidth, tuple):

@@ -226,28 +226,43 @@ def _unit_scaled(values, axis=None):
     return np.ldexp(values, -exponent), exponent
 
 
-def _silverman_per_axis(data):
+def _silverman_per_axis(data, exponent=0):
     """Silverman bandwidths (..., n) of a sample (m, n), or of each sample
-    of a stack (..., m, n), each with the bits it has alone."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sd = data.std(axis=-2, ddof=1)
-        q25, q75 = np.percentile(data, [25.0, 75.0], axis=-2)
-        # with more than half the values tied the IQR is 0 while sd is not;
-        # Silverman (1986) then uses sd alone
-        spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
-    bandwidths = 0.9 * spread * data.shape[-2] ** (-0.2)
-    in_range = (_MIN_SD <= sd) & (sd <= _MAX_SD)
-    if not in_range.all():
-        # squares of a sample near 1e+-200 over- or underflow: apply the
-        # rule to an exactly rescaled copy and scale the bandwidths back
-        for index in map(tuple, np.argwhere(~in_range.all(axis=-1))):
-            scaled, exponent = _unit_scaled(data[index], axis=0)
-            if np.any(exponent != 0):
-                bandwidths[index] = np.ldexp(_silverman_per_axis(scaled), exponent)
+    of a stack (..., m, n), each with the bits it has alone, times
+    ``2**exponent`` per axis.
+
+    The data must be at unit scale, where the squares and sums of the rule
+    cannot overflow: a standardized bootstrap stack, or a raw sample as
+    :func:`_unit_scaled` rescales it, with its exponents.  The rule is
+    exactly equivariant under powers of two, so a raw sample's bandwidths
+    are the bits of the plain rule wherever that neither over- nor
+    underflows; one past double range is refused.
+    """
+    sd = data.std(axis=-2, ddof=1)
+    # the quartiles of a sorted copy: percentile then partitions values
+    # already in order, which is faster and gives the same bits
+    q25, q75 = np.percentile(np.sort(data, axis=-2), [25.0, 75.0], axis=-2)
+    # with more than half the values tied the IQR is 0 while sd is not;
+    # Silverman (1986) then uses sd alone
+    spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
+    with np.errstate(over="ignore"):
+        bandwidths = np.ldexp(0.9 * spread * data.shape[-2] ** (-0.2), exponent)
     if not 0.0 < bandwidths.min() <= bandwidths.max() < math.inf:
         raise DegenerateSampleError(
             "sample has an axis with no usable spread; bandwidth undefined")
     return bandwidths
+
+
+def _axis_moments(data):
+    """Per-axis mean and sd (ddof=1), each (n,), of a sample (m, n) at any
+    scale (1e+-200 included), read like its Silverman bandwidths from the
+    copy :func:`_unit_scaled` rescales per axis by exact powers of two, and
+    mapped back with ``np.ldexp``.  An sd past double range comes back inf.
+    """
+    scaled, exponent = _unit_scaled(data, axis=0)
+    with np.errstate(over="ignore"):
+        return (np.ldexp(scaled.mean(axis=0), exponent),
+                np.ldexp(scaled.std(axis=0, ddof=1), exponent))
 
 
 def _log_norm(m, bandwidths):
@@ -266,7 +281,7 @@ def bandwidth_silverman(sample):
 
     Returns a float in one dimension, an (n,) array otherwise.
     """
-    h = _silverman_per_axis(sample.data)
+    h = _silverman_per_axis(*_unit_scaled(sample.data, axis=0))
     return float(h[0]) if sample.dimension == 1 else h
 
 
@@ -297,14 +312,16 @@ class _KernelDensity(DensityModel):
 def kde_log_density(sample, bandwidth=None):
     """Gaussian product-kernel KDE of a sample as a density model.
 
-    The grid statistic and the probes raise :class:`UsageError` where a
-    log-density they read is not finite or at least max float / 8 in
-    magnitude."""
+    Without ``bandwidth`` the Silverman rule sets one bandwidth per axis,
+    read at any scale from the sample rescaled per axis by exact powers of
+    two (:func:`_unit_scaled`).  The grid statistic and the probes raise
+    :class:`UsageError` where a log-density they read is not finite or at
+    least max float / 8 in magnitude."""
     if not isinstance(sample, Sample):
         sample = Sample(sample)
     n = sample.dimension
     if bandwidth is None:
-        bandwidths = _silverman_per_axis(sample.data)
+        bandwidths = _silverman_per_axis(*_unit_scaled(sample.data, axis=0))
     else:
         try:
             bandwidths = np.broadcast_to(np.asarray(bandwidth, float), (n,)).copy()

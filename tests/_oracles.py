@@ -255,6 +255,15 @@ def standardize_alone(data):
     return centered @ whiten
 
 
+def silverman_unsorted(data):
+    """Silverman bandwidths (..., n) of a sample (m, n) or a stack of them,
+    with the quartiles taken by ``np.percentile`` from the data as given."""
+    sd = data.std(axis=-2, ddof=1)
+    q25, q75 = np.percentile(data, [25.0, 75.0], axis=-2)
+    spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
+    return 0.9 * spread * data.shape[-2] ** (-0.2)
+
+
 def lattice_pipeline_loop(data, plan):
     """Statistic and bandwidth of one 1-D sample on a lattice plan, alone.
 

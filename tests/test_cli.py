@@ -308,6 +308,25 @@ def test_fit_input_maps_the_gaussian_back(run_cli_json, tmp_path):
         1e-14 * unit["gaussian"]["covariance"][0][0], rel=1e-6)
 
 
+def test_fit_input_reads_each_axis_at_its_own_scale(run_cli_json, tmp_path):
+    # axis scales 1e150 and 1e-150: one rescale factor for both axes crushed
+    # the small axis's sd to 0, and the fit was refused with a warning
+    z = np.random.default_rng(5).standard_normal((60, 2))
+    fits = {}
+    for name, values in (("unit", z), ("mixed", z * [1e150, 1e-150])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                for row in values.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = run_cli_json(["fit", "--input", str(path)])
+        assert payload["lattice"]["scale"] == values.std(axis=0, ddof=1).tolist()
+        fits[name] = payload["fit"]
+    assert fits["mixed"]["residual_max"] == pytest.approx(fits["unit"]["residual_max"],
+                                                          rel=1e-9)
+    assert fits["mixed"]["failure_reason"] == fits["unit"]["failure_reason"]
+
+
 @pytest.mark.parametrize("scale, flags", [(1e-200, []), (1e200, ["--tol", "10"])])
 def test_fit_input_out_of_double_range_is_refused(run_cli, capsys, tmp_path,
                                                   scale, flags):

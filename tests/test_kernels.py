@@ -148,10 +148,19 @@ def _table_and_rows(plan, data, bandwidths):
 
 
 def _quietest_seconds_per_call(calls, trials=10, window=0.04):
-    """Seconds per call of each callable: the least over ``trials``
-    interleaved windows of at least ``window`` seconds, so that both see
-    the same load and a busy moment does not count (five 0.02 s windows
-    let a loaded 2-core host read ratios up to 1.5 on one kernel)."""
+    """Seconds per call of each callable: the least over interleaved
+    windows of at least ``window`` seconds, so that both see the same load
+    and a busy moment does not count (five 0.02 s windows let a loaded
+    2-core host read ratios up to 1.5 on one kernel).  ``trials`` windows
+    when the slowest first call fits in one; a slower call is a window of
+    its own, and gets as many as fill ``trials * window`` seconds, but at
+    least three."""
+    first = []
+    for call in calls:
+        start = time.perf_counter()
+        call()
+        first.append(time.perf_counter() - start)
+    trials = max(3, min(trials, int(trials * window / max(first))))
     best = [np.inf] * len(calls)
     for _ in range(trials):
         for slot, call in enumerate(calls):

@@ -46,6 +46,7 @@ from _oracles import (
     per_shift_statistic,
     ratio_second_difference,
     replicate_draw,
+    silverman_unsorted,
     splitmix64_reference,
     standardize_alone,
 )
@@ -189,12 +190,21 @@ def test_bandwidth_falls_back_to_sd_when_most_values_tie():
         0.9 * sd * 40 ** (-0.2), rel=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [
+    1e200, 1e-200,
+    pytest.param(2.0 ** np.array([600, -600]), id="2d-per-axis"),
+    pytest.param(2.0 ** np.array([600, -600, 0]), id="3d-per-axis")])
 def test_bandwidth_at_extreme_scales(scale):
-    data = np.random.default_rng(58).standard_normal((50, 2))
+    # per axis by a power of two the rule is exact: the unit sample's bits
+    data = np.random.default_rng(58).standard_normal((50, max(2, np.size(scale))))
     h = bandwidth_silverman(Sample(data))
-    np.testing.assert_allclose(bandwidth_silverman(Sample(scale * data)),
-                               scale * h, rtol=1e-13)
+    scaled = Sample(scale * data)
+    if np.ndim(scale) == 0:
+        np.testing.assert_allclose(bandwidth_silverman(scaled), scale * h, rtol=1e-13)
+    else:
+        exact = (h * scale).tolist()  # exact: powers of two, no subnormal
+        assert bandwidth_silverman(scaled).tolist() == exact
+        assert kde_log_density(scaled).bandwidths.tolist() == exact
 
 
 # ------------------------------------------------------------------- KDE
@@ -456,9 +466,12 @@ def test_block_statistics_equal_one_sample_calls(dimension):
     shape = (60, dimension)
     samples = [rng.standard_normal(shape), rng.laplace(size=shape),
                np.round(0.3 * rng.standard_normal(shape)),
-               rng.standard_t(3, size=shape)]
+               rng.standard_t(3, size=shape), rng.standard_t(2, size=shape)]
     block = np.stack([_standardize(s) for s in samples])
     statistics, bandwidths = _block_statistics(block, plan)
+    # quartiles from a sorted copy: the bits of the rule on the block as
+    # drawn, ties (an IQR of 0) and a t(2) tail included
+    assert bandwidths.tolist() == silverman_unsorted(block).tolist()
     for r in range(block.shape[0]):
         one_statistic, one_bandwidths = _block_statistics(block[r:r + 1], plan)
         assert statistics[r] == one_statistic[0]
