@@ -69,45 +69,38 @@ def parse_samples_csv(path):
     their 1-based row numbers.  Only structural validation happens here;
     consumers impose their own sample-size floors.
     """
+    rows = []
+    header = False
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as handle:
-            raw_rows = [(line, row) for line, row in
-                        ((i + 1, row) for i, row in enumerate(csv.reader(handle)))
-                        if any(cell.strip() for cell in row)]
+            for line, cells in enumerate(csv.reader(handle), start=1):
+                if not cells:
+                    continue  # an empty line
+                try:
+                    values = list(map(float, cells))
+                except ValueError:
+                    if not "".join(cells).strip():
+                        continue  # a row of blank cells
+                    if not rows and not header:
+                        header = True
+                        continue
+                    values = None  # reported once the row's width is checked
+                if rows and len(cells) != len(rows[0]):
+                    raise UsageError(f"{path}: row {line} has {len(cells)} "
+                                     f"columns, expected {len(rows[0])}")
+                if values is None:
+                    for column, cell in enumerate(cells, start=1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise UsageError(
+                                f"{path}: row {line}, column {column}: "
+                                f"{cell.strip()!r} is not a number") from None
+                rows.append(values)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    if not raw_rows:
-        raise UsageError(f"{path}: no rows")
-
-    def parse_row(cells):
-        return [float(cell) for cell in cells]
-
-    first_line, first_cells = raw_rows[0]
-    start = 0
-    try:
-        parse_row(first_cells)
-    except ValueError:
-        start = 1  # header row
-    if start == len(raw_rows):
-        raise UsageError(f"{path}: no data rows")
-
-    width = len(raw_rows[start][1])
-    rows = []
-    for line, cells in raw_rows[start:]:
-        if len(cells) != width:
-            raise UsageError(
-                f"{path}: row {line} has {len(cells)} columns, expected {width}")
-        try:
-            rows.append(parse_row(cells))
-        except ValueError:
-            for column, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise UsageError(
-                        f"{path}: row {line}, column {column}: "
-                        f"{cell.strip()!r} is not a number") from None
-            raise
+    if not rows:
+        raise UsageError(f"{path}: no data rows" if header else f"{path}: no rows")
     return Sample(np.asarray(rows, dtype=float), min_count=2)
 
 

@@ -32,9 +32,15 @@ table sum is at least exp(-span).  Every offset is factored, and then
 the direct kernel redoes the rows of the offsets whose span exceeds
 ``_SPAN_LIMIT`` (a far outlier, a long step), whose sums may underflow.
 
+A call forms each sample's per-offset terms once: its midrange c, its
+scaled offsets and their half squares, and in 1-D each offset's peak, wide
+flag and constant, read from the sample's two extremes.  It then takes the
+samples in stacks (:func:`_stack_width`), which fill one set of buffers in
+turn, so a stack costs its numpy calls and no allocation.
+
 The one-dimensional lattice of the normality test is such a table: each
 lattice point is one of about sqrt(points) anchors plus one of about
-sqrt(points) offsets, and a block of bootstrap replicates is one stack.
+sqrt(points) offsets, and a block of bootstrap replicates is one call.
 """
 
 import numpy as np
@@ -124,20 +130,26 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     |log f|, the offset's exponent span (at most ``_SPAN_LIMIT``) and
     |e'.(a' - c)|.
 
-    Every offset of every sample is factored.  Samples whose (anchors +
-    offsets) x m buffers fit in ``_CHUNK_VALUES`` go in stacks that fill
-    it, and one stacked matrix product serves a stack; a larger sample goes
-    alone.  Offsets are taken in groups of at most ``_CHUNK_VALUES // m``
-    (a stack's make one group) and anchors in chunks whose (anchor,
-    observation) and (anchor, offset) buffers together hold at most about
-    ``_CHUNK_VALUES`` values (fewer when the product would pass
-    ``_PRODUCT_TERMS``).  Then the direct kernel redoes each (sample,
-    offset) row whose span passes ``_SPAN_LIMIT`` (or is NaN), in calls of
-    about ``_CHUNK_VALUES`` values.  So a call needs those buffers, the
-    scaled copies of its inputs and its output, whatever m or the anchor
-    count.  Stacked or alone, a sample passes the same operations on its
-    own values, and a stacked product multiplies each sample's matrices on
-    their own, so its values are the bits it has alone.  No floating-point
+    Every offset of every sample is factored.  Each sample's midrange,
+    scaled offsets and their half squares are formed once per call, and in
+    1-D each offset's peak, wide flag and constant too, from the sample's
+    extremes.  The samples then go in stacks of :func:`_stack_width`, the
+    offsets in groups of at most ``_CHUNK_VALUES // m`` (a stack's make one
+    group) and the anchors in chunks whose (anchor, observation) and
+    (anchor, offset) buffers together hold at most about ``_CHUNK_VALUES``
+    values (fewer when the product would pass ``_PRODUCT_TERMS``).  Every
+    stack fills one set of buffers, allocated per offset group: its scaled
+    and centred data and anchors, its weights (in n-D, from which each
+    offset's peak, flag and constant are read) and an anchor chunk's
+    terms, sums and linear terms.  Then the direct kernel redoes each
+    (sample, offset) row whose span passes ``_SPAN_LIMIT`` (or is NaN), in
+    calls of about ``_CHUNK_VALUES`` values.  So a call needs those
+    buffers, a few values per (sample, offset), the scaled copies of its
+    inputs and its output, whatever m or the anchor count.  Stacked or
+    alone, a sample passes the same operations on its own values, and a
+    stacked product multiplies each sample's matrices on their own, with
+    an anchor chunk of the same size (the bits of a BLAS product depend on
+    its size), so its values are the bits it has alone.  No floating-point
     warning is raised: a value past double range comes back inf or NaN,
     for the caller to check.
     """
@@ -146,22 +158,13 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     samples = np.asarray(samples, dtype=np.float64)
     inv = np.asarray(inv_bandwidths, dtype=np.float64)
     log_norms = np.asarray(log_norms, dtype=np.float64)
-    width, m, n = samples.shape
+    n = samples.shape[2]
     total = anchors.shape[0]
-    # the linear terms are taken about each sample's midrange, so that they
-    # stay the size of the sample's spread wherever the sample lies; the
-    # inverse bandwidths are positive, so the extremes scale to the bits
-    # of the scaled values' extremes
-    centre = 0.5 * (samples.max(axis=1) * inv + samples.min(axis=1) * inv)
-    out = np.empty((width, offsets.shape[0], total))
-    wide = np.empty((width, offsets.shape[0]), dtype=bool)
-    stack = max(1, _CHUNK_VALUES // ((total + offsets.shape[0]) * m))
-    # a wide offset's factored log may be -inf or NaN until its row is redone
+    out = np.empty((samples.shape[0], offsets.shape[0], total))
+    # an offset past double range scales to inf, and a wide offset's
+    # factored log may be -inf or NaN until its row is redone
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for first in range(0, width, stack):
-            chunk = slice(first, first + stack)
-            wide[chunk] = _fill_table(out[chunk], anchors, offsets, samples[chunk],
-                                      inv[chunk], centre[chunk], log_norms[chunk])
+        wide = _fill_table(out, anchors, offsets, samples, inv, log_norms)
         # the direct kernel redoes the wide rows, a few offsets per call
         per_call = max(1, _CHUNK_VALUES // total)
         for r in np.flatnonzero(wide.any(axis=1)):
@@ -174,64 +177,117 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     return out
 
 
-def _fill_table(out, anchors, offsets, samples, inv, centre, log_norms):
-    """Fill ``out`` with the factored tables of a stack of samples, from
-    the arguments of :func:`kde_log_density_table` and the samples'
-    midranges ``centre`` in bandwidth units, and return the (samples,
-    offsets) mask of the wide offsets, whose values the caller redoes."""
-    scale = inv[:, None, :]
-    scaled_anchors = anchors * scale
-    data_t = np.ascontiguousarray((samples * scale).transpose(0, 2, 1))
-    size, n, m = data_t.shape
-    total = anchors.shape[0]
-    centred_data = data_t - centre[:, :, None]
-    centred_anchors = scaled_anchors - centre[:, None, :]
+def _stack_width(total, count, m):
+    """Samples per stack of a table of ``total`` anchors and ``count``
+    offsets over m observations: as many as fill 2 * ``_CHUNK_VALUES``
+    values of a stack's main buffers, the (anchors + offsets) x m terms and
+    two anchors x offsets sums, or one.
+
+    Against stacks of ``_CHUNK_VALUES`` (anchors + offsets) x m values (7
+    samples at m = 200, 78 at m = 20), a 199-sample call on the default
+    1-D lattice took 0.91 of the time at m = 200 (14 samples a stack),
+    0.89 at m = 500, 0.82 at m = 1000 and 0.94 at m = 50, and 1.03 at
+    m = 20 (102 a stack), where the buffers outweigh the calls they save
+    (medians of interleaved in-process calls, 2-core host).
+    """
+    return max(1, 2 * _CHUNK_VALUES // ((total + count) * m + 2 * total * count))
+
+
+def _fill_table(out, anchors, offsets, samples, inv, log_norms):
+    """Fill ``out`` with the factored tables of the arguments of
+    :func:`kde_log_density_table`, and return the (samples, offsets) mask
+    of the wide offsets, whose values the caller redoes."""
+    width, m, n = samples.shape
+    total, count = anchors.shape[0], offsets.shape[0]
+    # the linear terms are taken about each sample's midrange, so that they
+    # stay the size of the sample's spread wherever the sample lies; the
+    # inverse bandwidths are positive, so the extremes scale to the bits
+    # of the scaled values' extremes
+    high = samples.max(axis=1) * inv
+    low = samples.min(axis=1) * inv
+    centre = 0.5 * (high + low)
+    scaled_offsets = offsets * inv[:, None, :]
+    half_squares = 0.5 * np.einsum("rbj,rbj->rb", scaled_offsets, scaled_offsets)
+    peak, constant = np.empty((2, width, count))
+    wide = np.empty((width, count), dtype=bool)
     if n == 1:
         # rounding is monotone, so an offset's largest and smallest linear
-        # terms are its products with the sample's extremes
-        extremes = np.concatenate((centred_data.max(axis=2),
-                                   centred_data.min(axis=2)), axis=1)[:, None, :]
-    wide = np.empty((size, offsets.shape[0]), dtype=bool)
+        # terms are its products with the sample's centred extremes
+        extremes = np.concatenate((high - centre, low - centre), axis=1)
+        _offset_peaks(scaled_offsets * extremes[:, None, :], half_squares,
+                      log_norms, peak, wide, constant)
+    stack = min(max(width, 1), _stack_width(total, count, m))
     group = max(1, _CHUNK_VALUES // m)
-    for first in range(0, offsets.shape[0], group):
+    # the buffers that every stack fills in turn
+    data_t, centred_data = np.empty((2, stack, n, m))
+    scaled_anchors, centred_anchors = np.empty((2, stack, total, n))
+    for first in range(0, count, group):
         picked = slice(first, first + group)
-        scaled_offsets = offsets[picked] * scale
-        # the exponents' linear terms, whose buffer then holds the weights;
-        # in 1-D, the product's one term per entry, which numpy forms twice
-        # as fast by broadcasting as in its generic matrix loop
-        weights = (scaled_offsets * centred_data if n == 1
-                   else scaled_offsets @ centred_data)
-        ends = scaled_offsets * extremes if n == 1 else weights
-        peak = ends.max(axis=2)
-        # a NaN span (an offset past double range) is wide too
-        wide[:, picked] = ~(peak - ends.min(axis=2) <= _SPAN_LIMIT)
-        # a wide offset's row is redone, so its weights are set to 0 by an
-        # infinite shift: past the span limit they would hold subnormals,
-        # which made a lone 1-D sample's product 17 times slower
-        np.copyto(peak, np.inf, where=wide[:, picked])
-        weights -= peak[:, :, None]
-        np.exp(weights, out=weights)
-        constant = (log_norms[:, None] + peak
-                    - 0.5 * np.einsum("sbj,sbj->sb", scaled_offsets, scaled_offsets))
-        columns = weights.shape[1]
+        columns = min(group, count - first)
         rows = max(1, min(_CHUNK_VALUES // (m + columns),
                           _PRODUCT_TERMS // (m * columns)))
-        quad = np.empty((size, min(rows, total), m))
+        weights = np.empty((stack, columns, m))
+        quad = np.empty((stack, min(rows, total), m))
         gap = np.empty_like(quad) if n > 1 else None
-        for start in range(0, total, rows):
-            stop = min(start + rows, total)
-            q = quad[:, :stop - start]
-            row_peak = _scaled_kernel_terms(
-                scaled_anchors[:, start:stop], data_t, q,
-                None if gap is None else gap[:, :stop - start])
-            sums = q @ weights.transpose(0, 2, 1)
-            np.log(sums, out=sums)
-            sums += row_peak[:, :, None]
-            sums -= centred_anchors[:, start:stop] @ scaled_offsets.transpose(0, 2, 1)
-            sums += constant[:, None, :]
-            out[:, picked, start:stop] = sums.transpose(0, 2, 1)
+        sums, linear = np.empty((2, stack, min(rows, total), columns))
+        for lo in range(0, width, stack):
+            chunk = slice(lo, lo + stack)
+            size = min(stack, width - lo)
+            data = data_t[:size]
+            np.multiply(samples[chunk].transpose(0, 2, 1), inv[chunk, :, None],
+                        out=data)
+            centred = np.subtract(data, centre[chunk, :, None],
+                                  out=centred_data[:size])
+            points = np.multiply(anchors, inv[chunk, None, :],
+                                 out=scaled_anchors[:size])
+            centred_points = np.subtract(points, centre[chunk, None, :],
+                                         out=centred_anchors[:size])
+            offset_rows = scaled_offsets[chunk, picked]
+            # the exponents' linear terms, whose buffer then holds the
+            # weights; in 1-D, the product's one term per entry, which numpy
+            # forms twice as fast by broadcasting as in its generic matrix
+            # loop
+            w = weights[:size]
+            if n == 1:
+                np.multiply(offset_rows, centred, out=w)
+            else:
+                np.matmul(offset_rows, centred, out=w)
+                _offset_peaks(w, half_squares[chunk, picked], log_norms[chunk],
+                              peak[chunk, picked], wide[chunk, picked],
+                              constant[chunk, picked])
+            w -= peak[chunk, picked, None]
+            np.exp(w, out=w)
+            w = w.transpose(0, 2, 1)
+            offset_columns = offset_rows.transpose(0, 2, 1)
+            for start in range(0, total, rows):
+                stop = min(start + rows, total)
+                q = quad[:size, :stop - start]
+                row_peak = _scaled_kernel_terms(
+                    points[:, start:stop], data, q,
+                    None if gap is None else gap[:size, :stop - start])
+                s = np.matmul(q, w, out=sums[:size, :stop - start])
+                np.log(s, out=s)
+                s += row_peak[:, :, None]
+                s -= np.matmul(centred_points[:, start:stop], offset_columns,
+                               out=linear[:size, :stop - start])
+                s += constant[chunk, None, picked]
+                out[chunk, picked, start:stop] = s.transpose(0, 2, 1)
         # a group's buffers go before the next group's come: at m past
         # _CHUNK_VALUES a call then holds one row of each beside its scaled
         # samples
-        del weights, quad, q, gap
+        weights = w = quad = q = gap = sums = linear = s = None
     return wide
+
+
+def _offset_peaks(ends, half_squares, log_norms, peak, wide, constant):
+    """Set each offset's ``peak``, its largest linear term, ``wide`` flag
+    and ``constant``, from ``ends``, whose last axis holds its largest and
+    smallest linear terms among others."""
+    np.max(ends, axis=-1, out=peak)
+    # a NaN span (an offset past double range) is wide too
+    np.logical_not(peak - ends.min(axis=-1) <= _SPAN_LIMIT, out=wide)
+    # a wide offset's row is redone, so its weights are set to 0 by an
+    # infinite shift: past the span limit they would hold subnormals,
+    # which made a lone 1-D sample's product 17 times slower
+    np.copyto(peak, np.inf, where=wide)
+    np.subtract(log_norms[:, None] + peak, half_squares, out=constant)

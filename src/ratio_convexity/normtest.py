@@ -133,6 +133,20 @@ def substream_seed(seed, index):
     return z
 
 
+def _substream_seeds(seed, start, stop):
+    """``substream_seed(seed, r)`` for r = start, ..., stop - 1, as a uint64
+    array: the same SplitMix64 steps on uint64 arrays, whose products wrap
+    modulo 2**64 without a warning."""
+    z = (np.uint64(int(seed) & _MASK64)
+         + np.arange(start, stop, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -239,9 +253,8 @@ def _silverman_per_axis(data, exponent=0):
     underflows; one past double range is refused.
     """
     sd = data.std(axis=-2, ddof=1)
-    # the quartiles of a sorted copy: percentile then partitions values
-    # already in order, which is faster and gives the same bits
-    q25, q75 = np.percentile(np.sort(data, axis=-2), [25.0, 75.0], axis=-2)
+    ordered = np.sort(data, axis=-2)
+    q25, q75 = (_sorted_quantile(ordered, q) for q in (0.25, 0.75))
     # with more than half the values tied the IQR is 0 while sd is not;
     # Silverman (1986) then uses sd alone
     spread = np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.34), sd)
@@ -251,6 +264,22 @@ def _silverman_per_axis(data, exponent=0):
         raise DegenerateSampleError(
             "sample has an axis with no usable spread; bandwidth undefined")
     return bandwidths
+
+
+def _sorted_quantile(ordered, q):
+    """The q-quantile along axis -2 of values sorted along it, by numpy's
+    default ``linear`` rule, with the bits of ``np.percentile(ordered,
+    100 q, axis=-2)``: its virtual index (m - 1) q, and its interpolation
+    from the nearer of the two neighbours."""
+    m = ordered.shape[-2]
+    virtual = (m - 1) * q
+    below = math.floor(virtual)
+    t = virtual - below
+    lo = ordered[..., below, :]
+    hi = ordered[..., min(below + 1, m - 1), :]
+    if t >= 0.5:
+        return hi - (hi - lo) * (1.0 - t)
+    return lo + (hi - lo) * t
 
 
 def _axis_moments(data):
@@ -582,9 +611,10 @@ def _replicate_statistics(root, m, plan, seed, start, stop):
     the stream of ``np.random.default_rng(substream_seed(seed, r))``.  The
     replicates are drawn into (R, m, n) blocks of at most _BLOCK_VALUES
     values (one replicate when m n exceeds it).  A block's substream
-    states are computed in one pass (:func:`_pcg64_states`) and set in
-    turn on one generator, which then draws each replicate's normals: the
-    bits of a fresh generator per replicate, without building one.  Each
+    seeds and states are computed in one pass each
+    (:func:`_substream_seeds`, :func:`_pcg64_states`) and the states set
+    in turn on one generator, which then draws each replicate's normals:
+    the bits of a fresh generator per replicate, without building one.  Each
     block is multiplied by the root (exactly [[1.0]] in 1-D, so skipped
     there), standardized and passes :func:`_block_statistics` once.
     """
@@ -596,9 +626,9 @@ def _replicate_statistics(root, m, plan, seed, start, stop):
     generator = np.random.Generator(bit_generator)
     for lo in range(start, stop, width):
         block = np.empty((min(width, stop - lo), m, n))
-        states = _pcg64_states([substream_seed(seed, r)
-                                for r in range(lo, lo + len(block))])
-        for draws, state in zip(block, states):
+        states = _pcg64_states(_substream_seeds(seed, lo, lo + len(block)))
+        # each replicate's C-ordered (m, n) values, as one flat row
+        for draws, state in zip(block.reshape(len(block), -1), states):
             bit_generator.state = state
             generator.standard_normal(out=draws)
         if n > 1:

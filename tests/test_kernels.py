@@ -280,35 +280,40 @@ _STACK_DRAWS = ("standard_normal", "t3", "outlier", "laplace", "standard_cauchy"
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_stacked_table_is_each_sample_alone(dimension):
     # each sample's slice of a stacked call is the bits of its own call,
-    # wide spans (the outlier, the Cauchy sample) and partial stacks
-    # included
+    # wide spans (the outlier, the Cauchy sample) included, over three
+    # stacks of the kernel's own width, the last one partial.  Every stack
+    # fills the buffers the one before it filled, and the second puts a
+    # wide sample straight after a narrow one.  In 3-D one shift magnitude
+    # keeps the anchors x offsets sums small enough for stacks
     if dimension == 1:
         plan, m = normtest._lattice_plan(normtest.default_test_grid(1)), 200
     else:
         plan, m = _grid_plan(ProbeGrid.for_dimension(
             dimension, x_min=-3.0, x_max=3.0, points=3,
-            y_magnitudes=(0.5, 1.0, 2.0), steps=(0.2, 0.4))), 20
-    samples, inv, log_norms = _stack(dimension, m, _STACK_DRAWS, 8200 + dimension)
-    # stacks of at least two samples
-    per_sample = (plan.anchors.shape[0] + plan.offsets.shape[0]) * m
-    assert 2 * per_sample <= kernels._CHUNK_VALUES
+            y_magnitudes=(0.5, 1.0, 2.0) if dimension == 2 else (1.0,),
+            steps=(0.2, 0.4))), 20
+    stack = kernels._stack_width(plan.anchors.shape[0], plan.offsets.shape[0], m)
+    assert stack >= 2
+    draws = [_STACK_DRAWS[r % len(_STACK_DRAWS)] for r in range(2 * stack + 2)]
+    draws[stack:stack + 2] = ["standard_normal", "outlier"]
+    samples, inv, log_norms = _stack(dimension, m, draws, 8200 + dimension)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stacked = _stacked_call(plan, samples, inv, log_norms)
-    assert stacked.shape == (len(_STACK_DRAWS), plan.offsets.shape[0],
+    assert stacked.shape == (len(draws), plan.offsets.shape[0],
                              plan.anchors.shape[0])
-    redone = 0
-    for r in range(len(_STACK_DRAWS)):
+    redone = np.zeros(len(draws), dtype=int)
+    for r in range(len(draws)):
         alone = _stacked_call(plan, samples[r:r + 1], inv[r:r + 1], log_norms[r:r + 1])
-        assert stacked[r].tolist() == alone[0].tolist(), _STACK_DRAWS[r]
+        assert stacked[r].tolist() == alone[0].tolist(), (r, draws[r])
         # the wide offsets' rows are the direct kernel's bits
         scaled = samples[r] * inv[r]
         wide = np.ptp(plan.offsets * inv[r] @ scaled.T, axis=1) > kernels._SPAN_LIMIT
         rows = (plan.anchors + plan.offsets[wide, None, :]).reshape(-1, dimension)
         direct = kernels.kde_log_density_batch(rows, samples[r], inv[r], log_norms[r])
-        assert stacked[r, wide].reshape(-1).tolist() == direct.tolist(), _STACK_DRAWS[r]
-        redone += wide.sum()
-    assert redone > 0
+        assert stacked[r, wide].reshape(-1).tolist() == direct.tolist(), (r, draws[r])
+        redone[r] = wide.sum()
+    assert redone[stack] == 0 and redone[stack + 1] > 0
 
 
 # ------------------------------------------------ the 1-D lattice as a table
@@ -388,13 +393,11 @@ def _with_zero_axis(values, fill=0.0):
 
 
 def _fill_call(anchors, offsets, samples, inv, log_norms):
-    """``kernels._fill_table``'s tables and wide mask for one stack, with
-    the midranges that ``kde_log_density_table`` passes it."""
-    centre = 0.5 * (samples.max(axis=1) * inv + samples.min(axis=1) * inv)
+    """``kernels._fill_table``'s factored tables and wide mask, before the
+    direct kernel redoes the wide rows."""
     out = np.empty((samples.shape[0], offsets.shape[0], anchors.shape[0]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        wide = kernels._fill_table(out, anchors, offsets, samples, inv, centre,
-                                   log_norms)
+        wide = kernels._fill_table(out, anchors, offsets, samples, inv, log_norms)
     return out, wide
 
 

@@ -101,6 +101,19 @@ def test_substream_seeds_are_distinct():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+def test_vectorized_substream_seeds_are_substream_seed():
+    # the block's seeds come from uint64 arrays, whose products wrap
+    # without a warning; a negative seed is taken modulo 2**64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1, 12345678901234, -1):
+            for start, stop in ((0, 300), (2**40, 2**40 + 3), (7, 8)):
+                seeds = normtest._substream_seeds(seed, start, stop)
+                assert seeds.dtype == np.uint64
+                assert seeds.tolist() == [substream_seed(seed, r)
+                                          for r in range(start, stop)], seed
+
+
 def test_substream_states_are_default_rng_states():
     # _pcg64_states writes out numpy's SeedSequence hash and PCG64 seeding:
     # a numpy that changes either fails here instead of moving every T*
@@ -125,13 +138,17 @@ def test_block_draws_are_default_rng_draws(monkeypatch, width, m, n):
     monkeypatch.setattr(normtest, "_standardize", recording_standardize)
     monkeypatch.setattr(normtest, "_block_statistics",
                         lambda block, plan: (np.zeros(len(block)), None))
-    # the identity root multiplies each draw by exactly 1
-    _replicate_statistics(np.eye(n), m, None, 11, 1, 1 + width)
-    assert [block.shape for block in blocks] == [(width, m, n)]
-    for r, draws in enumerate(blocks[0], 1):
-        expected = np.empty((m, n))
-        np.random.default_rng(substream_seed(11, r)).standard_normal(out=expected)
-        assert draws.tobytes() == expected.tobytes(), r
+    # the identity root multiplies each draw by exactly 1; a negative seed
+    # is taken modulo 2**64
+    for seed in (11, -1, 2**64 - 1):
+        blocks.clear()
+        _replicate_statistics(np.eye(n), m, None, seed, 1, 1 + width)
+        assert [block.shape for block in blocks] == [(width, m, n)]
+        for r, draws in enumerate(blocks[0], 1):
+            expected = np.empty((m, n))
+            np.random.default_rng(substream_seed(seed, r)).standard_normal(
+                out=expected)
+            assert draws.tobytes() == expected.tobytes(), (seed, r)
 
 
 # --------------------------------------------------------- thread budget
@@ -165,6 +182,27 @@ def test_bandwidth_silverman_formula():
     iqr = np.subtract(*np.percentile(data, [75.0, 25.0]))
     expected = 0.9 * min(sd, iqr / 1.34) * 80 ** (-0.2)
     assert bandwidth_silverman(sample) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 20, 199, 200, 201, 500])
+def test_silverman_quartiles_are_numpy_percentiles(m):
+    # the quartiles read from the sorted copy are np.percentile's values,
+    # on every interpolation weight (m mod 4) and on rounded, mostly tied
+    # data, and the bandwidths its bits.  Sorting and partitioning may
+    # order a tied -0.0 and 0.0 differently, so a quartile of 0 may differ
+    # in sign, which no bandwidth sees
+    rng = np.random.default_rng(5900 + m)
+    for n in (1, 2, 3):
+        stack = rng.standard_normal((6, m, n)) * rng.uniform(0.1, 10.0, n)
+        stack[3:] = np.round(stack[3:] * 0.7)
+        ordered = np.sort(stack, axis=-2)
+        for q in (0.25, 0.75):
+            assert (normtest._sorted_quantile(ordered, q).tolist()
+                    == np.percentile(stack, 100 * q, axis=-2).tolist()), (n, q)
+        spread = stack.std(axis=-2, ddof=1) > 0
+        if spread.all():
+            assert (_silverman_per_axis(stack).tobytes()
+                    == silverman_unsorted(stack).tobytes()), n
 
 
 def test_bandwidth_silverman_per_axis():
