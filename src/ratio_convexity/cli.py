@@ -158,21 +158,32 @@ def _build_model(args):
 
 
 def _probe_grid(args, model, sample):
-    """Probe grid from flags; data-driven defaults for KDE models."""
+    """Probe grid from flags; data-driven defaults for KDE models.
+
+    A KDE's grid spans each axis's mean +- 4 sd, with shifts and steps
+    scaled by the mean sd; an axis whose span leaves double range is
+    refused by name.
+    """
     n = model.dimension
-    if sample is None:
-        return _apply_grid_flags(args, ProbeGrid.for_dimension(n))
-    mean, sd = _axis_moments(sample.data)
-    scale = float(sd.mean())
-    if not (np.all(sd > 0) and np.isfinite(scale)):
-        raise DegenerateSampleError("sample has an axis with zero spread")
     default = ProbeGrid.for_dimension(n)
-    x_range = tuple(
-        (float(mean[j] - 4.0 * sd[j]), float(mean[j] + 4.0 * sd[j]),
-         default.x_range[j][2])
-        for j in range(n))
+    if sample is None:
+        return _apply_grid_flags(args, default)
+    mean, sd = _axis_moments(sample.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = mean - 4.0 * sd, mean + 4.0 * sd
+        width = hi - lo
+    bad = np.flatnonzero(~np.isfinite(width))
+    if bad.size:
+        j = int(bad[0])
+        raise UsageError(
+            f"axis {j}: the probe range mean +- 4 sd ({mean[j]:.3g} +- "
+            f"4 x {sd[j]:.3g}) leaves double range")
+    # every 8 sd is finite, so the mean sd and the shifts of up to 4 mean
+    # sds are too
+    scale = float(sd.mean())
     return _apply_grid_flags(args, ProbeGrid(
-        x_range=x_range,
+        x_range=tuple((float(lo[j]), float(hi[j]), default.x_range[j][2])
+                      for j in range(n)),
         y_set=tuple(y * scale for y in default.y_set),
         directions=default.directions,
         steps=tuple(t * scale for t in default.steps)))
@@ -182,7 +193,10 @@ def _apply_grid_flags(args, grid):
     """Override a base grid with --x-range/--points/--y-set/--steps.
 
     Each shift magnitude in --y-set becomes one shift along every axis.
+    With none of the flags set, the base grid itself comes back.
     """
+    if (args.x_range, args.points, args.y_set, args.steps) == (None,) * 4:
+        return grid
     n = grid.dimension
     x_range = grid.x_range
     if args.x_range is not None:

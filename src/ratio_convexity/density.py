@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .errors import ModelContractError, UsageError
 
 __all__ = [
@@ -185,7 +186,18 @@ class DensityModel:
 
 
 class Gaussian(DensityModel):
-    """Multivariate Gaussian backed by :class:`GaussianParams`."""
+    """Multivariate Gaussian backed by :class:`GaussianParams`.
+
+    A batch's log-densities are log_norm - |z|^2 / 2 with z = x W - mean W,
+    where W whitens: |z|^2 = (x - mean)' precision (x - mean).  The mean is
+    shifted after the BLAS product, which sets the bits of x W.  Up to
+    three axes, each column of z is centred and squared on its own and the
+    squares are added in einsum's order (``kernels._square_sum_order``), so
+    the values are the bits of ``einsum("ij,ij->i", z, z)`` at the cost of
+    a few whole-column operations, where einsum and a broadcast shift
+    loop over the n <= 3 entries of each row.  Above three axes einsum
+    does the sum, because its order there follows numpy's SIMD build.
+    """
 
     def __init__(self, params):
         if not isinstance(params, GaussianParams):
@@ -194,15 +206,25 @@ class Gaussian(DensityModel):
         self.dimension = params.dimension
         self.label = "gaussian"
         self._log_norm = -0.5 * (self.dimension * _LOG_2PI + params.log_det_covariance)
-        # z = x W - mean W has |z|^2 = (x - mean)' precision (x - mean); the
-        # mean is shifted after the product so the (N, n) batch is walked once
         self._whiten = params.eigenvectors / np.sqrt(params.eigenvalues)
         self._whitened_mean = params.mean @ self._whiten
 
     def _log_density_many(self, points):
         z = points @ self._whiten
-        z -= self._whitened_mean
-        return self._log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
+        if self.dimension > 3:
+            z -= self._whitened_mean
+            return self._log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
+        first, *rest = kernels._square_sum_order(self.dimension)
+        total = np.subtract(z[:, first], self._whitened_mean[first])
+        total *= total
+        for j in rest:
+            column = np.subtract(z[:, j], self._whitened_mean[j])
+            column *= column
+            total += column
+        # log_norm + (-s / 2) is the float log_norm - s / 2
+        total *= -0.5
+        total += self._log_norm
+        return total
 
     def __repr__(self):
         return f"Gaussian({self.params!r})"

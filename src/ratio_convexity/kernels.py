@@ -66,6 +66,15 @@ def backend_name():
     return "pure"
 
 
+def _square_sum_order(n):
+    """The order in which numpy's einsum (``"ij,ij->i"`` and its stacked
+    forms) adds the squares of n <= 3 axes: (0 + 2) + 1 for three, in turn
+    for fewer.  Adding squares axis by axis in this order gives the bits
+    of an einsum evaluation.  Above three axes einsum's order follows
+    numpy's SIMD build."""
+    return (0, 2, 1) if n == 3 else tuple(range(n))
+
+
 def _scaled_kernel_terms(scaled_points, data_t, quad, gap):
     """Fill ``quad`` with exp(-|p - v_j|^2 / 2 - peak) for each point row p
     and observation column v_j, and return each row's peak.
@@ -75,9 +84,9 @@ def _scaled_kernel_terms(scaled_points, data_t, quad, gap):
     is a spare buffer, unused when n = 1.
     """
     n = data_t.shape[-2]
-    # numpy's einsum("prj,prj->pr") adds three squared axes as (0 + 2) + 1;
-    # the same order keeps 3-D values the bits of a whole-array evaluation
-    first, *rest = (0, 2, 1) if n == 3 else range(n)
+    # the squares go in einsum's order, so that values are the bits of a
+    # whole-array evaluation
+    first, *rest = _square_sum_order(n)
     np.subtract(scaled_points[..., first, None], data_t[..., first, None, :],
                 out=quad)
     np.multiply(quad, quad, out=quad)

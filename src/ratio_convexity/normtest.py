@@ -409,7 +409,8 @@ def _grid_statistic(tables, plan):
     """The statistic over a grid plan of log f tables, one row per offset
     (see :func:`_log_ratio_blocks`)."""
     best = 0.0
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(tables, plan):
+    phi_center, blocks = _log_ratio_blocks(tables, plan)
+    for block, phi_minus, phi_plus in blocks:
         step = plan.steps[block % len(plan.steps)]
         d2 = phi_plus - 2.0 * phi_center + phi_minus
         best = max(best, float(np.max(np.abs(d2))) / (step * step))

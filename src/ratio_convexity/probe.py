@@ -12,8 +12,9 @@ any strict violation certifies non-Gaussianity on its own.
 
 Every property is read from the same values of log f, so
 :func:`probe_properties` plans the grid and evaluates log f once for any
-number of properties and only forms their margins apart;
-:func:`probe_property` is its one-property case.
+number of properties and only forms their margins apart: the terms at x
+once per probe, and each second difference once per block, shared by the
+properties that read it; :func:`probe_property` is its one-property case.
 
 Tolerances are scale-aware: a second-difference violation must clear
 ``tol * max(1, |phi(x)|)`` so that huge log-ratio magnitudes cannot
@@ -281,29 +282,75 @@ def second_difference(phi, x, direction, step):
     return plus - 2.0 * center + minus
 
 
-def _margins(kind, phi_minus, phi_center, phi_plus, tol):
-    """Vectorized margins and violation mask."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if kind.on_log:
-            margin = phi_plus - 2.0 * phi_center + phi_minus
-            tol_used = tol * np.maximum(1.0, np.abs(phi_center))
-            if kind is PropertyKind.LOG_CONVEX:
-                return margin, margin < -tol_used
-            return margin, margin > tol_used
+@dataclass(frozen=True, eq=False)
+class _CentreTerms:
+    """The terms of the margins that depend on phi(x) alone, formed once
+    per probe: phi(x), h(x) = exp(phi(x)) and the violation thresholds of
+    the probes of h and of log h."""
 
-        h_center = np.exp(phi_center)
-        scale = np.maximum(np.exp(-phi_center), 1.0)
-        if kind is PropertyKind.QUASI_CONVEX:
-            ridge = np.maximum(phi_plus, phi_minus)
-            relative = -np.expm1(ridge - phi_center)
-            mask = relative > tol * scale
-        else:
-            relative = np.expm1(phi_plus - phi_center) + np.expm1(phi_minus - phi_center)
-            if kind is PropertyKind.CONVEX:
-                mask = relative < -tol * scale
+    phi: np.ndarray
+    h: np.ndarray
+    #: tol * max(1 / h(x), 1): the threshold of h's relative difference
+    h_tol: np.ndarray
+    #: tol * max(1, |phi(x)|)
+    log_tol: np.ndarray
+
+
+def _centre_terms(phi_center, tol):
+    # at tol = 0 an infinite 1 / h(x) makes h_tol NaN, and no h probe there
+    # finds a violation
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return _CentreTerms(
+            phi=phi_center, h=np.exp(phi_center),
+            h_tol=tol * np.maximum(np.exp(-phi_center), 1.0),
+            log_tol=tol * np.maximum(1.0, np.abs(phi_center)))
+
+
+def _block_margins(kinds, centre, phi_minus, phi_plus):
+    """Margins and violation masks of each kind on one block, whose phi(x)
+    terms are ``centre``.
+
+    The log probes share one second difference of log h, and the convex
+    and concave probes one relative second difference of h (scaled to
+    ``expm1`` of log differences, so that it stays exact where h over- or
+    underflows).
+    """
+    log_d2 = h_d2 = None
+    margins = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for kind in kinds:
+            if kind.on_log:
+                if log_d2 is None:
+                    log_d2 = phi_plus - 2.0 * centre.phi + phi_minus
+                margin = log_d2
+                if kind is PropertyKind.LOG_CONVEX:
+                    mask = log_d2 < -centre.log_tol
+                else:
+                    mask = log_d2 > centre.log_tol
+            elif kind is PropertyKind.QUASI_CONVEX:
+                ridge = np.maximum(phi_plus, phi_minus)
+                relative = -np.expm1(ridge - centre.phi)
+                margin = centre.h * relative
+                mask = relative > centre.h_tol
             else:
-                mask = relative > tol * scale
-        return h_center * relative, mask
+                if h_d2 is None:
+                    h_d2 = (np.expm1(phi_plus - centre.phi)
+                            + np.expm1(phi_minus - centre.phi))
+                    h_margin = centre.h * h_d2
+                margin = h_margin
+                if kind is PropertyKind.CONVEX:
+                    mask = h_d2 < -centre.h_tol
+                else:
+                    mask = h_d2 > centre.h_tol
+            margins.append((margin, mask))
+    return margins
+
+
+def _margins(kind, phi_minus, phi_center, phi_plus, tol):
+    """Margins and violation mask of one kind on one block: the one-block
+    case of the probe's :func:`_block_margins`."""
+    return _block_margins((kind,), _centre_terms(phi_center, tol),
+                          phi_minus, phi_plus)[0]
 
 
 def _witness_values(kind, tol, phi):
@@ -431,24 +478,34 @@ def _offset_rows(log_f, plan):
     once per distinct point, and every point is the float the per-shift
     stack ``x + y - t d`` would give, so the values do not depend on how
     the rows are grouped into calls.
+
+    A call's (offsets, anchors, n) points are filled axis by axis, one
+    whole (offsets, anchors) plane per axis, where a broadcast sum over
+    the last axis would loop over its n <= 3 entries point by point; the
+    sums are the same floats.  Each call gets a new array, since ``log_f``
+    may keep what it is given.
     """
     width, n = plan.anchors.shape
     yield _log_density_rows(log_f, plan.anchors)[None]
     per_call = 2 * max(1, _row_budget(n) // (2 * width))
     for start in range(1, len(plan.offsets), per_call):
         chunk = plan.offsets[start:start + per_call]
-        points = (plan.anchors + chunk[:, None, :]).reshape(-1, n)
-        yield _log_density_rows(log_f, points).reshape(len(chunk), width)
+        points = np.empty((len(chunk), width, n))
+        for j in range(n):
+            np.add(plan.anchors[:, j], chunk[:, j, None], out=points[:, :, j])
+        yield _log_density_rows(log_f, points.reshape(-1, n)).reshape(
+            len(chunk), width)
 
 
 def _log_ratio_blocks(tables, plan):
-    """Yield ``(block, phi_minus, phi_center, phi_plus)`` over a grid plan.
+    """``(phi_center, blocks)`` over a grid plan, where ``blocks`` yields
+    ``(block, phi_minus, phi_plus)``.
 
     ``tables`` are log f over the plan's anchors plus its offsets, one row
     per offset in the plan's order, split into arrays of any number of
     rows (see :func:`_offset_rows`).  Each phi array has shape (shifts,
-    base points) and holds phi = log f(. + y) - log f(.) at x - t d, x and
-    x + t d.
+    base points) and holds phi = log f(. + y) - log f(.) at x, or at
+    x - t d and x + t d for every block.
     """
     k = plan.base.shape[0]
 
@@ -458,8 +515,8 @@ def _log_ratio_blocks(tables, plan):
     rows = (row for table in tables for row in table)
     phi_center = phi(next(rows))
     # the offsets after 0 come in (-t d, +t d) pairs, one pair per block
-    for block, (minus, plus) in enumerate(zip(rows, rows)):
-        yield block, phi(minus), phi_center, phi(plus)
+    return phi_center, ((block, phi(minus), phi(plus))
+                        for block, (minus, plus) in enumerate(zip(rows, rows)))
 
 
 def probe_properties(model, kinds, grid=None, *, tolerance=None,
@@ -493,28 +550,37 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
     k = base.shape[0]
     candidates = [[] for _ in kinds]
     violation_counts = [0] * len(kinds)
-    points_checked = 0
 
-    for block, phi_minus, phi_center, phi_plus in _log_ratio_blocks(
-            _offset_rows(model.log_density_many, plan), plan):
+    phi_center, blocks = _log_ratio_blocks(
+        _offset_rows(model.log_density_many, plan), plan)
+    centre = _centre_terms(phi_center, tol)
+    points_checked = 0
+    for block, phi_minus, phi_plus in blocks:
         di, ti = divmod(block, len(grid.steps))
         points_checked += phi_center.size
-        for slot, kind in enumerate(kinds):
-            margin, mask = _margins(kind, phi_minus, phi_center, phi_plus, tol)
-            violation_counts[slot] += int(np.count_nonzero(mask))
+        margins = _block_margins(kinds, centre, phi_minus, phi_plus)
+        for slot, (kind, (margin, mask)) in enumerate(zip(kinds, margins)):
+            hits = np.flatnonzero(mask)
+            if not hits.size:
+                continue
+            violation_counts[slot] += hits.size
             # beyond double range: counted, not materialized
-            hits = np.flatnonzero(mask & np.isfinite(margin))
+            hit_margins = margin.flat[hits]
+            finite = np.isfinite(hit_margins)
+            hits, hit_margins = hits[finite], hit_margins[finite]
+            if not hits.size:
+                continue
             if hits.size > witness_cap:
                 # only this block's top witness_cap can reach the global
                 # top; flat (shift, point) order is position order within
                 # a block
-                order = np.lexsort((hits, -np.abs(margin.flat[hits])))
-                hits = hits[order[:witness_cap]]
+                order = np.lexsort((hits, -np.abs(hit_margins)))[:witness_cap]
+                hits, hit_margins = hits[order], hit_margins[order]
             # tolerances and witness values only at the hits kept
             tol_used, values = _witness_values(kind, tol, np.array(
                 [phi.flat[hits] for phi in (phi_minus, phi_center, phi_plus)]))
             kept = candidates[slot]
-            for flat, m, t, triple in zip(hits.tolist(), margin.flat[hits].tolist(),
+            for flat, m, t, triple in zip(hits.tolist(), hit_margins.tolist(),
                                           tol_used.tolist(), values.T.tolist()):
                 yi, xi = divmod(flat, k)
                 kept.append((m, (yi, xi, di, ti), t, tuple(triple)))

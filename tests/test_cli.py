@@ -13,7 +13,7 @@ import ratio_convexity
 from ratio_convexity import cli
 from ratio_convexity.cli import build_parser, main, parse_samples_csv
 from ratio_convexity.errors import UsageError
-from ratio_convexity.probe import PropertyKind
+from ratio_convexity.probe import ProbeGrid, PropertyKind
 from ratio_convexity.ratio import laplace_log_ratio
 
 # .../src/ratio_convexity/__init__.py -> .../src, so that a child interpreter
@@ -531,6 +531,32 @@ def test_x_range_wider_than_double_range_is_refused(run_cli, capsys, data_dir,
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert "-1.7e+308" in err and "1.7e+308) is wider than double range" in err
+
+
+def test_probe_range_past_double_range_is_refused(run_cli, capsys, tmp_path):
+    # each axis's sd is about 1e308, so mean +- 4 sd overflows: refused by
+    # axis, with no overflow warning (the mean of the sds overflowed into
+    # "zero spread")
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, np.random.default_rng(7).uniform(-1, 1, (40, 2)) * 1.7e308,
+               delimiter=",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["probe", "--input", str(path)])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: axis 0: the probe range mean +- 4 sd (")
+    assert err.rstrip().endswith(") leaves double range")
+
+
+def test_grid_without_flags_is_the_base_grid():
+    # no flag set: the base grid comes back, not a copy validated again
+    args = cli._shared_parser().parse_args(["probe", "--model", "laplace"])
+    grid = ProbeGrid.for_dimension(1)
+    assert cli._apply_grid_flags(args, grid) is grid
+    args = cli._shared_parser().parse_args(["probe", "--model", "laplace",
+                                            "--points", "11"])
+    assert cli._apply_grid_flags(args, grid).x_range == ((-5.0, 5.0, 11),)
 
 
 def test_step_whose_square_underflows(run_cli, run_cli_json, capsys, data_dir):

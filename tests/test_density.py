@@ -20,7 +20,7 @@ from ratio_convexity.errors import ModelContractError, UsageError
 from ratio_convexity.normtest import Sample, kde_log_density
 from ratio_convexity.probe import ProbeGrid
 
-from _oracles import adaptive_simpson
+from _oracles import adaptive_simpson, gaussian_log_density_einsum
 
 
 def random_spd(rng, n):
@@ -110,6 +110,20 @@ def test_gaussian_matches_scipy_logpdf():
         expected = stats.multivariate_normal(mean, cov).logpdf(points)
         np.testing.assert_allclose(model.log_density_many(points),
                                    np.atleast_1d(expected), rtol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gaussian_batch_is_the_einsum_formula_bit_for_bit(n, scale):
+    # up to three axes the squares are summed column by column in einsum's
+    # order; above three einsum itself sums them
+    rng = np.random.default_rng(60 + n)
+    model = Gaussian(GaussianParams(scale * rng.standard_normal(n),
+                                    scale * scale * random_spd(rng, n)))
+    points = scale * 3.0 * rng.standard_normal((5000, n))
+    got = model.log_density_many(points)
+    want = gaussian_log_density_einsum(model, points)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _gaussian_case(n):

@@ -11,7 +11,9 @@ from ratio_convexity.probe import (
     ProbeGrid,
     PropertyKind,
     _distinct_rows,
+    _grid_plan,
     _margins,
+    _offset_rows,
     concavity_impossibility_scan,
     default_tolerance,
     probe_properties,
@@ -329,25 +331,34 @@ def _kde_2d():
     return kde_log_density(Sample(rng.laplace(size=(30, 2))))
 
 
-@pytest.mark.parametrize("model", [
-    Laplace1D(),
-    Quartic1D(),
-    Gaussian(GaussianParams([0.5], [[2.0]])),
-    Gaussian(GaussianParams([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])),
-    Gaussian(GaussianParams([0.0, 1.0, -1.0], np.diag([1.0, 2.0, 0.5]))),
-    _kde_2d(),
-], ids=["laplace", "quartic", "gaussian-1", "gaussian-2", "gaussian-3", "kde-2"])
-def test_probe_matches_per_shift_oracle(model):
+_GAUSSIAN_2D = Gaussian(GaussianParams([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]))
+_GAUSSIAN_3D = Gaussian(GaussianParams([0.0, 1.0, -1.0], np.diag([1.0, 2.0, 0.5])))
+
+
+@pytest.mark.parametrize("model, tolerance", [
+    pytest.param(Laplace1D(), None, id="laplace"),
+    pytest.param(Quartic1D(), None, id="quartic"),
+    pytest.param(Gaussian(GaussianParams([0.5], [[2.0]])), None, id="gaussian-1"),
+    pytest.param(_GAUSSIAN_2D, None, id="gaussian-2"),
+    pytest.param(_GAUSSIAN_3D, None, id="gaussian-3"),
+    # at tolerance 0 rounding noise makes witnesses, so their margins are
+    # checked bit for bit
+    pytest.param(_GAUSSIAN_2D, 0.0, id="gaussian-2-tol0"),
+    pytest.param(_GAUSSIAN_3D, 0.0, id="gaussian-3-tol0"),
+    pytest.param(_kde_2d(), None, id="kde-2"),
+])
+def test_probe_matches_per_shift_oracle(model, tolerance):
     grid = ProbeGrid.for_dimension(model.dimension)
     cells = list(per_shift_log_ratios(model, grid))
-    tol = default_tolerance(model)
+    tol = default_tolerance(model) if tolerance is None else tolerance
     for cap in (64, 3):
         together = probe_properties(model, list(PropertyKind), grid,
-                                    witness_cap=cap)
+                                    tolerance=tolerance, witness_cap=cap)
         assert [v.kind for v in together] == list(PropertyKind)
         for kind, joint in zip(PropertyKind, together):
             checked, count, expected = _per_shift_verdict(cells, kind, tol, cap)
-            for verdict in (probe_property(model, kind, grid, witness_cap=cap),
+            for verdict in (probe_property(model, kind, grid, tolerance=tolerance,
+                                           witness_cap=cap),
                             joint):
                 assert verdict.points_checked == checked
                 assert verdict.violation_count == count
@@ -378,6 +389,31 @@ def test_probe_properties_evaluate_log_f_once():
     # all five properties cost what one did: each distinct point once
     assert sum(calls) == (343 + 9408) * 67
     assert max(calls) <= ROWS_3D
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_offset_rows_are_the_broadcast_points(dimension):
+    # each call gets its own array, filled axis by axis with the floats of
+    # the broadcast sum anchors + offsets; a batch evaluator that keeps
+    # what it is given still holds every call's points afterwards
+    received = []
+
+    def keep(points):
+        received.append(points)
+        return np.zeros(points.shape[0])
+
+    plan = _grid_plan(ProbeGrid.for_dimension(dimension))
+    tables = list(_offset_rows(Custom(dimension, lambda p: 0.0,
+                                      batch_evaluator=keep).log_density_many,
+                               plan))
+    assert sum(len(table) for table in tables) == len(plan.offsets)
+    want = (plan.anchors + plan.offsets[:, None, :]).reshape(-1, dimension)
+    got = np.concatenate(received)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert len(received) > 2
+    for i, first in enumerate(received):
+        for second in received[i + 1:]:
+            assert not np.shares_memory(first, second)
 
 
 def test_probe_properties_keeps_order_and_validates():
