@@ -6,9 +6,11 @@ classification), ``test`` (calibrated KDE normality test of CSV samples),
 and ``counterexample`` (exact tables for the Laplace and quartic families).
 
 Reports are canonical JSON: keys sorted, two-space indent, shortest
-round-trip float representation, no NaN/inf.  Identical inputs and seeds
-produce byte-identical bytes.  Exit codes: 0 success (a probe that finds
-violations is a successful probe), 2 usage errors, 3 numeric failures.
+round-trip float representation, no NaN/inf; the text of ``json.dumps(...,
+sort_keys=True, indent=2, allow_nan=False)``, written by :func:`_json_text`.
+Identical inputs and seeds produce byte-identical bytes.  Exit codes: 0
+success (a probe that finds violations is a successful probe), 2 usage
+errors, 3 numeric failures.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import argparse
 import csv
 import dataclasses
 import functools
-import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -260,8 +262,84 @@ def _verdict_dict(verdict):
     return payload
 
 
+class _FloatText(dict):
+    """A float's JSON text, keyed by the float: one repr per distinct value.
+
+    Zeros stay out, because 0.0 == -0.0 and both hash alike: a memo keyed
+    by value would print -0.0 as 0.0.
+    """
+
+    def __missing__(self, value):
+        text = float.__repr__(value)
+        if "n" in text:  # inf, -inf or nan: no finite float's repr holds an n
+            raise ValueError("Out of range float values are not JSON "
+                             f"compliant: {value!r}")
+        if value:
+            self[value] = text
+        return text
+
+
+def _json_text(payload):
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
+
+    The same text, without the stdlib's pure-Python encoder, which is the
+    one it runs when an indent is asked for.  A payload is a tree of dicts
+    with str keys, lists, tuples, strings, ints, floats, booleans and None;
+    anything else raises ``TypeError``, and inf or NaN ``ValueError``.
+    """
+    pieces = []
+    _append_json(payload, "\n", pieces, _FloatText())
+    return "".join(pieces)
+
+
+def _append_json(value, newline, pieces, floats):
+    """Append ``value``'s text to ``pieces``; ``newline`` is a line break
+    and the indent of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, float):
+        pieces.append(floats[value])
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is float for item in value):
+            pieces += ("[", inner, ("," + inner).join(map(floats.__getitem__, value)),
+                       newline, "]")
+            return
+        opening = "[" + inner
+        for item in value:
+            pieces.append(opening)
+            _append_json(item, inner, pieces, floats)
+            opening = "," + inner
+        pieces.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key in sorted(value):
+            pieces.append(opening + encode_basestring_ascii(key) + ": ")
+            _append_json(value[key], inner, pieces, floats)
+            opening = "," + inner
+        pieces.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
 def _emit(payload, output):
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = _json_text(payload) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)

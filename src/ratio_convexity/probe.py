@@ -135,6 +135,22 @@ class ProbeGrid:
                 raise UsageError("steps must be positive and finite")
             steps.append(t)
 
+        # every point a probe evaluates is x + y +- t d, each term at most
+        # these in magnitude on its axis, and rounding keeps that order: so
+        # where this sum is finite no point overflows
+        x_reach = np.array([max(abs(lo), abs(hi)) for lo, hi, _ in ranges])
+        y_reach = np.abs(np.array(shifts)).max(axis=0)
+        step_reach = max(steps) * np.abs(np.array(dirs)).max(axis=0)
+        with np.errstate(over="ignore"):
+            reach = x_reach + y_reach + step_reach
+        bad = np.flatnonzero(~np.isfinite(reach))
+        if bad.size:
+            j = int(bad[0])
+            raise UsageError(
+                f"axis {j}: the grid's points leave double range (|x| up to "
+                f"{x_reach[j]:.3g}, shifts up to {y_reach[j]:.3g}, steps up "
+                f"to {step_reach[j]:.3g})")
+
         object.__setattr__(self, "x_range", tuple(ranges))
         object.__setattr__(self, "y_set", tuple(shifts))
         object.__setattr__(self, "directions", tuple(dirs))

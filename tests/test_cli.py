@@ -549,6 +549,38 @@ def test_probe_range_past_double_range_is_refused(run_cli, capsys, tmp_path):
     assert err.rstrip().endswith(") leaves double range")
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this package."""
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
+
+
+@pytest.mark.parametrize("source", ["flags", "sample"])
+def test_grid_points_past_double_range_are_refused(tmp_path, source):
+    # every x range is finite, but x + y (flags) or the scaled default shifts
+    # and steps (a sample of sd 5.8e303 centred 6 sd below the largest
+    # double) leave double range: refused by axis, with no warning even
+    # under -W error
+    if source == "flags":
+        argv = ["probe", "--model", "laplace", "--x-range=1e308,1.5e308",
+                "--y-set", "1e308"]
+    else:
+        z = np.random.default_rng(3).standard_normal(50)
+        z = (z - z.mean()) / z.std(ddof=1)
+        values = (sys.float_info.max - 6 * 5.8e303) + 5.8e303 * z
+        path = tmp_path / "far.csv"
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        argv = ["probe", "--input", str(path)]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ratio_convexity.cli"] + argv,
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(
+        "error: axis 0: the grid's points leave double range (|x| up to ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_grid_without_flags_is_the_base_grid():
     # no flag set: the base grid comes back, not a copy validated again
     args = cli._shared_parser().parse_args(["probe", "--model", "laplace"])
@@ -797,12 +829,9 @@ def test_commands_run_without_scipy(data_dir):
         ["test", "--input", str(data_dir / "normal_200.csv"), "--reps", "99"],
         ["counterexample", "quartic"],
     ]
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
     result = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report == {"codes": [0, 0, 0, 0], "scipy_modules": []}

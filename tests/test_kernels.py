@@ -147,32 +147,34 @@ def _table_and_rows(plan, data, bandwidths):
     return table, direct_call().reshape(table.shape), table_call, direct_call
 
 
-def _quietest_seconds_per_call(calls, trials=10, window=0.04):
-    """Seconds per call of each callable: the least over interleaved
-    windows of at least ``window`` seconds, so that both see the same load
-    and a busy moment does not count (five 0.02 s windows let a loaded
-    2-core host read ratios up to 1.5 on one kernel).  ``trials`` windows
-    when the slowest first call fits in one; a slower call is a window of
-    its own, and gets as many as fill ``trials * window`` seconds, but at
-    least three."""
-    first = []
-    for call in calls:
-        start = time.perf_counter()
-        call()
-        first.append(time.perf_counter() - start)
-    trials = max(3, min(trials, int(trials * window / max(first))))
-    best = [np.inf] * len(calls)
-    for _ in range(trials):
-        for slot, call in enumerate(calls):
-            count, start = 0, time.perf_counter()
-            while True:
-                call()
-                count += 1
-                elapsed = time.perf_counter() - start
-                if elapsed >= window:
-                    break
-            best[slot] = min(best[slot], elapsed / count)
-    return best
+def _median_time_ratio(call, reference, budget=1.2, window=0.03):
+    """Median over pairs of windows of ``call``'s seconds per call over
+    ``reference``'s.  Each pair's two windows of at least ``window`` seconds
+    run back to back, in turns first, so that both see about the same load;
+    a busy moment moves the pairs it falls in, which the median ignores.
+    As many pairs as the two first calls fit in ``budget`` seconds, an odd
+    count from 5 to 15."""
+
+    def seconds_per_call(function):
+        count, start = 0, time.perf_counter()
+        while True:
+            function()
+            count += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= window:
+                return elapsed / count
+
+    first = seconds_per_call(call) + seconds_per_call(reference)
+    ratios = []
+    for pair in range(max(5, min(15, int(budget / first))) | 1):
+        if pair % 2:
+            reference_s = seconds_per_call(reference)
+            call_s = seconds_per_call(call)
+        else:
+            call_s = seconds_per_call(call)
+            reference_s = seconds_per_call(reference)
+        ratios.append(call_s / reference_s)
+    return float(np.median(ratios))
 
 
 #: the table's agreement with the direct kernel, relative to 1 + |log f|.
@@ -200,8 +202,7 @@ def test_table_matches_direct_kernel(dimension, m, draw):
         # so a heavy tail costs about what the direct kernel does (0.35 to
         # 1.15 of its time here in median, the wasted factored pass
         # included); the 25% allows for timer noise
-        table_s, direct_s = _quietest_seconds_per_call((table_call, direct_call))
-        assert table_s <= 1.25 * direct_s
+        assert _median_time_ratio(table_call, direct_call) <= 1.25
 
 
 def test_table_leaves_wide_spans_to_the_direct_kernel():

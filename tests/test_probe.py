@@ -61,6 +61,37 @@ def test_probe_grid_validation():
                   directions=([1.0],), steps=(1.0,))  # shift dimension
 
 
+@pytest.mark.parametrize("axis, x_range, shift, step", [
+    (0, (1e308, 1.5e308, 3), 1e308, 1.0),     # x + y
+    (1, (1e308, 1.5e308, 3), 1e308, 1.0),
+    (1, (-1.7e308, 1.0, 3), 1.0, 1e307),      # x - t d
+])
+def test_grid_whose_points_leave_double_range_is_refused(axis, x_range, shift,
+                                                         step):
+    # every x range is finite, but x + y +- t d is not on one axis: refused
+    # by that axis before any sum overflows, where the sums once warned and
+    # the probe stopped on a non-finite point
+    ranges = [(-1.0, 1.0, 3), (-1.0, 1.0, 3)]
+    ranges[axis] = x_range
+    y = np.zeros(2)
+    y[axis] = shift
+    model = Gaussian(GaussianParams(np.zeros(2), np.eye(2)))
+    with pytest.raises(UsageError, match=(
+            rf"^axis {axis}: the grid's points leave double range \(\|x\| up to ")):
+        probe_properties(model, list(PropertyKind), ProbeGrid(
+            x_range=tuple(ranges), y_set=(y,),
+            directions=([1.0, 0.0], [0.0, 1.0]), steps=(step,)))
+
+
+def test_grid_at_the_edge_of_double_range_is_planned():
+    # |x| + |y| + t reaches 1.69e308 < 1.797e308: every point is finite
+    grid = ProbeGrid(x_range=((-8e307, 8.8e307, 5),), y_set=([8e307], [-8e307]),
+                     directions=([1.0],), steps=(1e306,))
+    plan = _grid_plan(grid)
+    assert np.isfinite(plan.anchors).all()
+    assert np.isfinite(plan.anchors[:, None] + plan.offsets).all()
+
+
 def test_default_grid_shapes():
     g1 = ProbeGrid.for_dimension(1)
     assert g1.dimension == 1
