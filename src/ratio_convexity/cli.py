@@ -36,8 +36,8 @@ from .errors import (DegenerateSampleError, InconclusiveScanError,
 from .normtest import (DEFAULT_ALPHAS, MAX_TEST_DIMENSION, Sample, _axis_moments,
                        default_test_grid, kde_log_density, test_normality)
 # probe_property is unused here, but perfbench/tracing.py wraps this binding
-from .probe import (ProbeGrid, PropertyKind, _log_density_rows,
-                    default_tolerance, probe_properties, probe_property)
+from .probe import (ProbeGrid, PropertyKind, _probe, default_tolerance,
+                    probe_property)
 from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
                     quartic_hxx)
 
@@ -367,8 +367,8 @@ def _run_probe(args):
             f"--property must be one of: {valid}") from None
 
     tolerance = args.tol if args.tol is not None else default_tolerance(model)
-    verdicts = probe_properties(model, kinds, grid, tolerance=tolerance,
-                                witness_cap=args.witness_cap)
+    verdicts, phi = _probe(model, kinds, grid, tolerance=tolerance,
+                           witness_cap=args.witness_cap)
     properties = {verdict.kind.value: _verdict_dict(verdict)
                   for verdict in verdicts}
 
@@ -381,14 +381,10 @@ def _run_probe(args):
         "properties": properties,
     }
     if model.dimension == 1:
-        xs = grid.base_points()
-        log_f = _log_density_rows(model.log_density_many, xs)
-        series = []
-        for y in grid.y_set:
-            log_h = _log_density_rows(model.log_density_many, xs + y) - log_f
-            series.append({"y": y.tolist(), "x": xs[:, 0].tolist(),
-                           "log_ratio": log_h.tolist()})
-        payload["series"] = series
+        # the probe's own log h(x, y), one row per shift
+        xs = grid.base_points()[:, 0].tolist()
+        payload["series"] = [{"y": y.tolist(), "x": xs, "log_ratio": log_h}
+                             for y, log_h in zip(grid.y_set, phi.tolist())]
     _emit(payload, args.output)
     return 0
 

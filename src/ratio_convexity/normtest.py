@@ -38,7 +38,7 @@ from .density import DensityModel
 from .errors import DegenerateSampleError, UsageError
 from .probe import (ProbeGrid,
                     _check_log_density_range, _grid_plan,
-                    _in_log_density_range, _log_ratio_blocks, _offset_rows)
+                    _in_log_density_range, _log_density_rows, _offset_rows)
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -221,8 +221,13 @@ def thread_budget():
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def default_test_grid(dimension):
-    """Default statistic grid: x in [-3, 3], shifts up to 2, steps 0.2/0.4."""
+    """Default statistic grid: x in [-3, 3], shifts up to 2, steps 0.2/0.4.
+
+    One grid per dimension, shared by every call of a process: a
+    :class:`ProbeGrid` cannot be changed, and the statistic knows its plan
+    by it (see :func:`_statistic_plan`)."""
     return ProbeGrid.for_dimension(
         int(dimension), x_min=-3.0, x_max=3.0,
         points=_TEST_POINTS_PER_AXIS.get(int(dimension), 5),
@@ -365,35 +370,41 @@ def violation_statistic(model, grid=None):
     """T = max over the grid of |second difference of log h(., y)| / t^2.
 
     Zero (to rounding) exactly for Gaussian models; scale-free in t so that
-    coarse and fine steps compete on curvature rather than step size.
+    coarse and fine steps compete on curvature rather than step size.  The
+    grid is read through the plan the test reads it through (see
+    :func:`_statistic_plan`), so the default 1-D grid is read on its
+    lattice, and a KDE's T is the bits of the test's observed statistic on
+    the same sample.
     """
-    if grid is None and model.dimension <= MAX_TEST_DIMENSION:
-        plan = _default_plan(model.dimension)
-    else:
-        plan = _grid_plan(_statistic_grid(grid, model.dimension))
+    plan = _statistic_plan(grid, model.dimension)
     # a KDE's log f comes as a table, any other model's in rows
     if isinstance(model, _KernelDensity):
         return float(_kde_statistics(model._data[None],
                                      model.bandwidths[None], plan)[0])
+    if isinstance(plan, _LatticePlan):
+        log_values = _log_density_rows(model.log_density_many, plan.points)
+        return float(_lattice_statistic(log_values[:, None], plan)[0])
     return _grid_statistic(_offset_rows(model.log_density_many, plan), plan)
 
 
-@functools.lru_cache(maxsize=MAX_TEST_DIMENSION)
-def _default_plan(dimension):
-    """The plan of ``default_test_grid(dimension)``, built once per
-    process; its arrays are read-only, as every caller shares them."""
-    plan = _grid_plan(default_test_grid(dimension))
-    for values in (plan.base, plan.anchors, plan.rows, plan.offsets):
-        values.setflags(write=False)
-    return plan
+#: the default grid's plan per dimension, once built
+_shared_plans = {}
 
 
-def _statistic_grid(grid, dimension):
-    """The statistic's grid (the default for None), refusing a step whose
-    square underflows: the statistic divides by it."""
+def _statistic_plan(grid, dimension):
+    """The plan every statistic over ``grid`` (the default for None) is read
+    through: the 1-D lattice where :func:`_lattice_plan` takes the grid,
+    else the grid plan.  A step whose square underflows is refused: the
+    statistic divides by it.
+
+    The default grid's plan is built on its first use in a process and
+    shared from then on, its arrays read-only; any other grid's plan is
+    built per call.
+    """
+    default = default_test_grid(dimension)
     if grid is None:
-        return default_test_grid(dimension)
-    if grid.dimension != dimension:
+        grid = default
+    elif grid.dimension != dimension:
         raise UsageError(
             f"grid dimension {grid.dimension} does not match dimension "
             f"{dimension}")
@@ -402,18 +413,37 @@ def _statistic_grid(grid, dimension):
             raise UsageError(
                 f"step {t:g} is too small for the statistic: its square "
                 "underflows")
-    return grid
+    shared = grid is default
+    if shared and dimension in _shared_plans:
+        return _shared_plans[dimension]
+    plan = _lattice_plan(grid) or _grid_plan(grid)
+    if shared:
+        for values in vars(plan).values():
+            if isinstance(values, np.ndarray):
+                values.setflags(write=False)
+        _shared_plans[dimension] = plan
+    return plan
 
 
 def _grid_statistic(tables, plan):
     """The statistic over a grid plan of log f tables, one row per offset
-    (see :func:`_log_ratio_blocks`)."""
+    in the plan's order, split into arrays of any number of rows (see
+    :func:`probe._offset_rows`).
+
+    As on the lattice, each block takes one second difference of log f at
+    every anchor and one gap between each shifted centre's and its base
+    point's: the second difference of log h = log f(. + y) - log f(.)."""
+    k = plan.base.shape[0]
+    rows = (row for table in tables for row in table)
+    # 2 log f(x) is exact, so each d2 is the bits of plus - 2 centre + minus
+    centre = 2.0 * next(rows)
     best = 0.0
-    phi_center, blocks = _log_ratio_blocks(tables, plan)
-    for block, phi_minus, phi_plus in blocks:
+    # the offsets after 0 come in (-t d, +t d) pairs, one pair per block
+    for block, (minus, plus) in enumerate(zip(rows, rows)):
         step = plan.steps[block % len(plan.steps)]
-        d2 = phi_plus - 2.0 * phi_center + phi_minus
-        best = max(best, float(np.max(np.abs(d2))) / (step * step))
+        d2 = plus - centre + minus
+        gap = d2[k:][plan.rows] - d2[:k]
+        best = max(best, float(np.max(np.abs(gap))) / (step * step))
     return best
 
 
@@ -706,8 +736,7 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise UsageError(f"alpha {a} is outside (0, 1)")
-    grid = _statistic_grid(grid, n)
-    plan = _lattice_plan(grid) or _grid_plan(grid)
+    plan = _statistic_plan(grid, n)
     data = sample.data
     t_obs, bandwidths = _pipeline_statistic(data, plan)
     root = _fitted_root(data)

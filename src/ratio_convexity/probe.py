@@ -515,13 +515,15 @@ def _offset_rows(log_f, plan):
 
 def _log_ratio_blocks(tables, plan):
     """``(phi_center, blocks)`` over a grid plan, where ``blocks`` yields
-    ``(block, phi_minus, phi_plus)``.
+    ``(block, phi_minus, phi_plus)``: the probe's log-ratios.
 
     ``tables`` are log f over the plan's anchors plus its offsets, one row
     per offset in the plan's order, split into arrays of any number of
     rows (see :func:`_offset_rows`).  Each phi array has shape (shifts,
     base points) and holds phi = log f(. + y) - log f(.) at x, or at
-    x - t d and x + t d for every block.
+    x - t d and x + t d for every block.  The probe's margins read phi
+    itself; the normality statistic, which needs only the second
+    difference of phi, takes it from log f's (``normtest._grid_statistic``).
     """
     k = plan.base.shape[0]
 
@@ -545,6 +547,17 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
     (ties broken by grid position) and capped at ``witness_cap``;
     ``violation_count`` still counts everything.
     """
+    return _probe(model, kinds, grid, tolerance=tolerance,
+                  witness_cap=witness_cap)[0]
+
+
+def _probe(model, kinds, grid=None, *, tolerance=None, witness_cap=64):
+    """``(verdicts, phi)``: :func:`probe_properties`'s verdicts and the
+    log-ratios phi(x) = log f(x + y) - log f(x) it read them from, one row
+    per shift and one column per base point.
+
+    With no kinds, only x and x + y are evaluated, for phi.
+    """
     kinds = tuple(PropertyKind(kind) for kind in kinds)
     if grid is None:
         grid = ProbeGrid.for_dimension(model.dimension)
@@ -558,8 +571,6 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
     witness_cap = int(witness_cap)
     if witness_cap < 1:
         raise UsageError("witness_cap must be at least 1")
-    if not kinds:
-        return ()
 
     plan = _grid_plan(grid)
     base = plan.base
@@ -569,6 +580,8 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
 
     phi_center, blocks = _log_ratio_blocks(
         _offset_rows(model.log_density_many, plan), plan)
+    if not kinds:
+        return (), phi_center
     centre = _centre_terms(phi_center, tol)
     points_checked = 0
     for block, phi_minus, phi_plus in blocks:
@@ -606,12 +619,13 @@ def probe_properties(model, kinds, grid=None, *, tolerance=None,
             kept.sort(key=lambda entry: (-abs(entry[0]), entry[1]))
             del kept[witness_cap:]
 
-    return tuple(
+    verdicts = tuple(
         Verdict(kind=kind, points_checked=points_checked,
                 violation_count=count, tolerance=tol,
                 witnesses=tuple(_witness(kind, grid, base, entry)
                                 for entry in kept))
         for kind, count, kept in zip(kinds, violation_counts, candidates))
+    return verdicts, phi_center
 
 
 def _witness(kind, grid, base, entry):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ratio_convexity import kernels, normtest, probe
+from ratio_convexity import cli, kernels, normtest, probe
 from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D
 from ratio_convexity.errors import DegenerateSampleError, UsageError
 from ratio_convexity.normtest import (
@@ -366,26 +366,95 @@ def test_statistic_evaluates_each_distinct_point_once():
     assert sum(calls) == 22386
 
 
+def _counting_plan_builds(monkeypatch):
+    """Record each lattice or grid plan the statistic builds, from an empty
+    cache of the default grids' plans."""
+    builds = []
+    for name in ("_lattice_plan", "_grid_plan"):
+        def counting(grid, build=getattr(normtest, name), name=name):
+            builds.append(name)
+            return build(grid)
+        monkeypatch.setattr(normtest, name, counting)
+    monkeypatch.setattr(normtest, "_shared_plans", {})
+    return builds
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_default_statistic_plans_once(monkeypatch, dimension):
-    calls = []
-    base_points = ProbeGrid.base_points
-
-    def counting(grid):
-        calls.append(grid)
-        return base_points(grid)
-
-    monkeypatch.setattr(ProbeGrid, "base_points", counting)
-    normtest._default_plan.cache_clear()
+    builds = _counting_plan_builds(monkeypatch)
     data = np.random.default_rng(76).laplace(size=(30, dimension))
     model = kde_log_density(Sample(data))
     first = violation_statistic(model)
     assert violation_statistic(model) == first
-    assert len(calls) == 1
-    plan = normtest._default_plan(dimension)
-    assert not any(values.flags.writeable for values in
-                   (plan.base, plan.anchors, plan.rows, plan.offsets))
     assert first == violation_statistic(model, default_test_grid(dimension))
+    # the lattice in 1-D; the grid plan, after the lattice declines, above
+    assert builds == (["_lattice_plan"] if dimension == 1
+                      else ["_lattice_plan", "_grid_plan"])
+    plan = normtest._statistic_plan(None, dimension)
+    assert isinstance(plan, normtest._LatticePlan) == (dimension == 1)
+    arrays = [values for values in vars(plan).values()
+              if isinstance(values, np.ndarray)]
+    assert len(arrays) >= 3
+    assert not any(values.flags.writeable for values in arrays)
+    assert default_test_grid(dimension) is default_test_grid(dimension)
+
+
+def test_only_the_default_grid_plan_is_shared(monkeypatch):
+    builds = _counting_plan_builds(monkeypatch)
+    model = Laplace1D()
+    # an equal grid that is not the default one is planned per call
+    grid = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
+                                   y_magnitudes=(0.5, 1.0, 2.0),
+                                   steps=(0.2, 0.4))
+    assert violation_statistic(model, grid) == violation_statistic(model, grid)
+    assert builds == ["_lattice_plan"] * 2
+    assert normtest._shared_plans == {}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cli_tests_and_the_statistic_share_one_plan(monkeypatch, capsys,
+                                                    tmp_path, dimension):
+    # two test runs and a default-grid statistic: one plan build in all
+    builds = _counting_plan_builds(monkeypatch)
+    data = np.random.default_rng(77).standard_normal((40, dimension))
+    path = tmp_path / "sample.csv"
+    np.savetxt(path, data, delimiter=",")
+    for seed in ("0", "1"):
+        assert cli.main(["test", "--input", str(path), "--reps", "99",
+                         "--seed", seed]) == 0
+    violation_statistic(kde_log_density(Sample(data)))
+    capsys.readouterr()
+    assert len(builds) == len(set(builds)) == (1 if dimension == 1 else 2)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_observed_statistic_is_the_kde_statistic(dimension):
+    # the test and violation_statistic read the default grid through one
+    # plan: in 1-D both read the lattice
+    x = 2.0 + 3.0 * np.random.default_rng(78).laplace(size=(40, dimension))
+    z = _standardize(x[None])[0]
+    report = test_normality(Sample(x), reps=99, seed=0)
+    model = kde_log_density(Sample(z))
+    assert report.statistic == violation_statistic(model)
+    assert np.atleast_1d(report.bandwidth).tolist() == model.bandwidths.tolist()
+
+
+def test_statistic_of_a_1d_model_reads_the_lattice_once():
+    points = []
+    laplace = Laplace1D()
+
+    def batch(rows):
+        points.append(rows.copy())
+        return laplace.log_density_many(rows)
+
+    model = Custom(1, laplace.log_density, batch_evaluator=batch)
+    statistic = violation_statistic(model)
+    plan = normtest._statistic_plan(None, 1)
+    # 61 grid points padded by the largest shift and step, 24 spacings a side
+    assert len(plan.points) == 109
+    evaluated = np.concatenate(points)
+    assert np.array_equal(evaluated.view(np.int64), plan.points.view(np.int64))
+    assert statistic == pytest.approx(10.0, rel=1e-12)
 
 
 def test_statistic_validates_grid_dimension():
@@ -635,25 +704,23 @@ def test_grid_block_bootstrap_equals_per_replicate_oracle(monkeypatch, dimension
 
 
 def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
-    calls, shapes = [], []
-    base_points = ProbeGrid.base_points
-
-    def counting(grid):
-        calls.append(grid)
-        return base_points(grid)
+    builds = _counting_plan_builds(monkeypatch)
+    shapes = []
 
     def recording(block, plan):
         shapes.append(block.shape)
         return _block_statistics(block, plan)
 
-    monkeypatch.setattr(ProbeGrid, "base_points", counting)
     monkeypatch.setattr(normtest, "_block_statistics", recording)
     monkeypatch.setattr(normtest, "_BLOCK_VALUES", 40 * 20 * 2)
     data = np.random.default_rng(104).standard_normal((20, 2))
     monte_carlo_pvalue(Sample(data), reps=99, seed=2)
-    assert len(calls) == 1
+    assert builds.count("_grid_plan") == 1
     assert shapes == [(1, 20, 2), (40, 20, 2), (40, 20, 2), (19, 20, 2)]
     assert all(width * m * n <= normtest._BLOCK_VALUES for width, m, n in shapes)
+    # a second test reads the shared plan
+    monte_carlo_pvalue(Sample(data), reps=99, seed=3)
+    assert builds.count("_grid_plan") == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
