@@ -36,8 +36,8 @@ from .errors import (DegenerateSampleError, InconclusiveScanError,
 from .normtest import (DEFAULT_ALPHAS, MAX_TEST_DIMENSION, Sample, _axis_moments,
                        default_test_grid, kde_log_density, test_normality)
 # probe_property is unused here, but perfbench/tracing.py wraps this binding
-from .probe import (ProbeGrid, PropertyKind, _probe, default_tolerance,
-                    probe_property)
+from .probe import (ProbeGrid, PropertyKind, Witness, _probe,
+                    default_probe_grid, default_tolerance, probe_property)
 from .ratio import (LAPLACE_BRANCHES, laplace_branch, laplace_log_ratio,
                     quartic_hxx)
 
@@ -167,7 +167,7 @@ def _probe_grid(args, model, sample):
     refused by name.
     """
     n = model.dimension
-    default = ProbeGrid.for_dimension(n)
+    default = default_probe_grid(n)
     if sample is None:
         return _apply_grid_flags(args, default)
     mean, sd = _axis_moments(sample.data)
@@ -234,28 +234,14 @@ def _grid_dict(grid):
     }
 
 
-def _witness_dict(witness):
-    return {
-        "property": witness.kind.value,
-        "x": witness.x.tolist(),
-        "y": witness.y.tolist(),
-        "direction": witness.direction.tolist(),
-        "step": witness.step,
-        "triple": [point.tolist() for point in witness.triple],
-        "values": list(witness.values),
-        "margin": witness.margin,
-        "tolerance_used": witness.tolerance_used,
-        "position": list(witness.position),
-    }
-
-
 def _verdict_dict(verdict):
     payload = {
         "verdict": "violation-found" if verdict.found else "no-violation-found",
         "points_checked": verdict.points_checked,
         "violation_count": verdict.violation_count,
         "tolerance": verdict.tolerance,
-        "witnesses": [_witness_dict(w) for w in verdict.witnesses],
+        # each Witness is written by _witness_text
+        "witnesses": verdict.witnesses,
     }
     if not verdict.found:
         payload["note"] = "no violation found on the probed grid"
@@ -279,12 +265,56 @@ class _FloatText(dict):
         return text
 
 
+class _Placeholders(dict):
+    """Every float's text is ``%s``: :func:`_witness_template`'s memo."""
+
+    def __missing__(self, value):
+        return "%s"
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_template(dimension, newline):
+    """The ``%`` template of a witness of ``dimension`` coordinates that
+    starts on the line ``newline`` ends: the emitter's own text of a
+    witness's dict, with a ``%s`` for each scalar.
+
+    Its fields come in the dict's sorted key order: direction, margin,
+    position, property, step, tolerance_used, triple, values, x and y.
+    """
+    point = [0.0] * dimension
+    skeleton = {"direction": point, "margin": 0.0, "position": [0.0] * 4,
+                "property": 0.0, "step": 0.0, "tolerance_used": 0.0,
+                "triple": [point] * 3, "values": [0.0] * 3, "x": point,
+                "y": point}
+    pieces = []
+    _append_json(skeleton, newline, pieces, _Placeholders())
+    return "".join(pieces)
+
+
+def _witness_text(witness, newline, floats):
+    """A :class:`Witness`'s text, its shape's template filled in: the
+    emitter's text of the witness's dict, which holds ``kind.value`` as
+    "property", its arrays and tuples as lists and its other fields as they
+    are.  Floats are written through ``floats``, positions as ints."""
+    text = floats.__getitem__
+    first, middle, last = witness.triple
+    return _witness_template(witness.x.size, newline) % (
+        *map(text, witness.direction.tolist()), text(witness.margin),
+        *map(int.__repr__, witness.position),
+        encode_basestring_ascii(witness.kind.value), text(witness.step),
+        text(witness.tolerance_used), *map(text, first.tolist()),
+        *map(text, middle.tolist()), *map(text, last.tolist()),
+        *map(text, witness.values), *map(text, witness.x.tolist()),
+        *map(text, witness.y.tolist()))
+
+
 def _json_text(payload):
     """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
 
     The same text, without the stdlib's pure-Python encoder, which is the
     one it runs when an indent is asked for.  A payload is a tree of dicts
-    with str keys, lists, tuples, strings, ints, floats, booleans and None;
+    with str keys, lists, tuples, strings, ints, floats, booleans and None,
+    where a :class:`Witness` stands for its dict (see :func:`_witness_text`);
     anything else raises ``TypeError``, and inf or NaN ``ValueError``.
     """
     pieces = []
@@ -333,6 +363,8 @@ def _append_json(value, newline, pieces, floats):
             _append_json(value[key], inner, pieces, floats)
             opening = "," + inner
         pieces.append(newline + "}")
+    elif isinstance(value, Witness):
+        pieces.append(_witness_text(value, newline, floats))
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")

@@ -38,7 +38,8 @@ from .density import DensityModel
 from .errors import DegenerateSampleError, UsageError
 from .probe import (ProbeGrid,
                     _check_log_density_range, _grid_plan,
-                    _in_log_density_range, _log_density_rows, _offset_rows)
+                    _in_log_density_range, _log_density_rows, _offset_rows,
+                    _read_only)
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -418,10 +419,7 @@ def _statistic_plan(grid, dimension):
         return _shared_plans[dimension]
     plan = _lattice_plan(grid) or _grid_plan(grid)
     if shared:
-        for values in vars(plan).values():
-            if isinstance(values, np.ndarray):
-                values.setflags(write=False)
-        _shared_plans[dimension] = plan
+        _shared_plans[dimension] = _read_only(plan)
     return plan
 
 

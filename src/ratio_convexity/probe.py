@@ -27,6 +27,7 @@ as a finite double are counted but not materialized as witnesses.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ __all__ = [
     "Verdict",
     "Witness",
     "concavity_impossibility_scan",
+    "default_probe_grid",
     "default_tolerance",
     "probe_properties",
     "probe_property",
@@ -277,6 +279,14 @@ class Verdict:
                 f"{self.points_checked} points; worst {self.worst}")
 
 
+@functools.lru_cache(maxsize=None)
+def default_probe_grid(dimension):
+    """:meth:`ProbeGrid.for_dimension`'s grid, one per dimension, shared by
+    every call of a process: a :class:`ProbeGrid` cannot be changed, and the
+    probe knows its plan by it (see :func:`_probe_plan`)."""
+    return ProbeGrid.for_dimension(int(dimension))
+
+
 def default_tolerance(model):
     """1e-9 for closed-form models, 1e-7 for user-supplied evaluators."""
     return 1e-9 if getattr(model, "closed_form", False) else 1e-7
@@ -301,10 +311,12 @@ def second_difference(phi, x, direction, step):
 @dataclass(frozen=True, eq=False)
 class _CentreTerms:
     """The terms of the margins that depend on phi(x) alone, formed once
-    per probe: phi(x), h(x) = exp(phi(x)) and the violation thresholds of
-    the probes of h and of log h."""
+    per probe: phi(x), 2 phi(x), h(x) = exp(phi(x)) and the violation
+    thresholds of the probes of h and of log h."""
 
     phi: np.ndarray
+    #: 2 phi(x), exact, so the second difference of log h keeps its bits
+    twice_phi: np.ndarray
     h: np.ndarray
     #: tol * max(1 / h(x), 1): the threshold of h's relative difference
     h_tol: np.ndarray
@@ -317,7 +329,7 @@ def _centre_terms(phi_center, tol):
     # finds a violation
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return _CentreTerms(
-            phi=phi_center, h=np.exp(phi_center),
+            phi=phi_center, twice_phi=2.0 * phi_center, h=np.exp(phi_center),
             h_tol=tol * np.maximum(np.exp(-phi_center), 1.0),
             log_tol=tol * np.maximum(1.0, np.abs(phi_center)))
 
@@ -337,7 +349,7 @@ def _block_margins(kinds, centre, phi_minus, phi_plus):
         for kind in kinds:
             if kind.on_log:
                 if log_d2 is None:
-                    log_d2 = phi_plus - 2.0 * centre.phi + phi_minus
+                    log_d2 = phi_plus - centre.twice_phi + phi_minus
                 margin = log_d2
                 if kind is PropertyKind.LOG_CONVEX:
                     mask = log_d2 < -centre.log_tol
@@ -484,6 +496,38 @@ def _grid_plan(grid):
                      offsets=offsets, steps=grid.steps)
 
 
+def _read_only(plan):
+    """``plan`` with every array it holds made read-only, to be shared."""
+    for values in vars(plan).values():
+        if isinstance(values, np.ndarray):
+            values.setflags(write=False)
+    return plan
+
+
+#: the default probe grid's plan per dimension, once built
+_shared_plans = {}
+
+
+def _probe_plan(grid):
+    """The plan a probe over ``grid`` reads.
+
+    The default grid's plan (:func:`default_probe_grid`) in the dimensions
+    of :data:`DEFAULT_POINTS_PER_AXIS` (under 0.5 MB for all three) is
+    built on its first use in a process and shared from then on, its
+    arrays read-only; any other grid's plan is built per call, so that a
+    large grid's plan does not outlive its probe (the default 6-D grid's
+    holds 41 MB).
+    """
+    dimension = grid.dimension
+    if (dimension not in DEFAULT_POINTS_PER_AXIS
+            or grid is not default_probe_grid(dimension)):
+        return _grid_plan(grid)
+    plan = _shared_plans.get(dimension)
+    if plan is None:
+        plan = _shared_plans[dimension] = _read_only(_grid_plan(grid))
+    return plan
+
+
 def _offset_rows(log_f, plan):
     """Yield log f over the plan's anchors plus each of its offsets in turn.
 
@@ -560,7 +604,7 @@ def _probe(model, kinds, grid=None, *, tolerance=None, witness_cap=64):
     """
     kinds = tuple(PropertyKind(kind) for kind in kinds)
     if grid is None:
-        grid = ProbeGrid.for_dimension(model.dimension)
+        grid = default_probe_grid(model.dimension)
     if grid.dimension != model.dimension:
         raise UsageError(
             f"grid dimension {grid.dimension} does not match model dimension "
@@ -572,7 +616,7 @@ def _probe(model, kinds, grid=None, *, tolerance=None, witness_cap=64):
     if witness_cap < 1:
         raise UsageError("witness_cap must be at least 1")
 
-    plan = _grid_plan(grid)
+    plan = _probe_plan(grid)
     base = plan.base
     k = base.shape[0]
     candidates = [[] for _ in kinds]
@@ -631,7 +675,8 @@ def _probe(model, kinds, grid=None, *, tolerance=None, witness_cap=64):
 def _witness(kind, grid, base, entry):
     m, position, tol_used, triple_values = entry
     yi, xi, di, ti = position
-    x = base[xi]
+    # a copy: ``base`` may be a shared plan's
+    x = base[xi].copy()
     direction = grid.directions[di]
     step = grid.steps[ti]
     offset = step * direction
@@ -678,7 +723,7 @@ def concavity_impossibility_scan(model, grid=None, *, tolerance=None,
     :class:`InconclusiveScanError`.
     """
     if grid is None:
-        grid = ProbeGrid.for_dimension(model.dimension)
+        grid = default_probe_grid(model.dimension)
     rounds = int(max_expansions) + 1
     for attempt in range(rounds):
         verdict = probe_property(model, PropertyKind.CONCAVE, grid,

@@ -319,3 +319,20 @@ def per_replicate_grid_statistics(root, m, grid, seed, start, stop):
             normtest.Sample(z, min_count=2), normtest._silverman_per_axis(z))
         statistics.append(per_shift_statistic(model, grid))
     return statistics
+
+
+def witness_dict(witness):
+    """A probe witness as the plain dict whose JSON text is its report
+    entry: the oracle that the CLI's witness template is held to."""
+    return {
+        "property": witness.kind.value,
+        "x": witness.x.tolist(),
+        "y": witness.y.tolist(),
+        "direction": witness.direction.tolist(),
+        "step": witness.step,
+        "triple": [point.tolist() for point in witness.triple],
+        "values": list(witness.values),
+        "margin": witness.margin,
+        "tolerance_used": witness.tolerance_used,
+        "position": list(witness.position),
+    }

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ratio_convexity import kernels
+from ratio_convexity import kernels, probe
 from ratio_convexity.density import Custom, Gaussian, GaussianParams, Laplace1D, Quartic1D
 from ratio_convexity.errors import InconclusiveScanError, UsageError
 from ratio_convexity.normtest import Sample, default_test_grid, kde_log_density
@@ -15,6 +15,7 @@ from ratio_convexity.probe import (
     _margins,
     _offset_rows,
     concavity_impossibility_scan,
+    default_probe_grid,
     default_tolerance,
     probe_properties,
     probe_property,
@@ -518,6 +519,76 @@ def test_distinct_rows_keep_signed_zeros_apart():
     zero = column == 0.0
     assert np.any(zero & np.signbit(column))
     assert np.any(zero & ~np.signbit(column))
+
+
+# ------------------------------------------------ the default grid's plan
+
+
+def _counting_plan_builds(monkeypatch):
+    """Record the dimension of each grid plan a probe builds, from an empty
+    cache of the default grids' plans."""
+    builds = []
+
+    def counting(grid, build=probe._grid_plan):
+        builds.append(grid.dimension)
+        return build(grid)
+
+    monkeypatch.setattr(probe, "_grid_plan", counting)
+    monkeypatch.setattr(probe, "_shared_plans", {})
+    return builds
+
+
+def _product_laplace(dimension):
+    """log f(x) = -sum |x_j|: not Gaussian, so every default probe of it
+    has witnesses."""
+    return Custom(dimension, lambda x: -float(np.abs(x).sum()),
+                  batch_evaluator=lambda points: -np.abs(points).sum(axis=1))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_default_probe_grid_plans_once(monkeypatch, run_cli, dimension):
+    builds = _counting_plan_builds(monkeypatch)
+    model = _product_laplace(dimension)
+    first = probe_properties(model, ["convex", "concave"])
+    second = probe_properties(model, ["convex", "concave"])
+    mean = "--mu=" + ",".join(["0.5"] * dimension)
+    texts = [run_cli(["probe", "--model", "gaussian", mean]) for _ in range(2)]
+    assert texts[0] == texts[1] and texts[0][0] == 0
+    assert builds == [dimension]
+    assert default_probe_grid(dimension) is default_probe_grid(dimension)
+
+    plan = probe._shared_plans[dimension]
+    arrays = [values for values in vars(plan).values()
+              if isinstance(values, np.ndarray)]
+    assert len(arrays) == 4
+    assert not any(values.flags.writeable for values in arrays)
+    witnesses = [w for verdicts in (first, second) for verdict in verdicts
+                 for w in verdict.witnesses]
+    assert witnesses
+    for w in witnesses:
+        assert w.x.flags.writeable
+        assert not np.shares_memory(w.x, plan.base)
+    assert [str(v) for v in first] == [str(v) for v in second]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_only_the_default_probe_grid_plan_is_shared(monkeypatch, run_cli,
+                                                    dimension):
+    builds = _counting_plan_builds(monkeypatch)
+    model = _product_laplace(dimension)
+    # an equal grid that is not the default one is planned per call
+    for _ in range(2):
+        probe_properties(model, ["convex"], ProbeGrid.for_dimension(dimension))
+    mean = "--mu=" + ",".join(["0.5"] * dimension)
+    for _ in range(2):
+        code, _ = run_cli(["probe", "--model", "gaussian", mean, "--points", "7"])
+        assert code == 0
+    # and so is a default grid of more than three axes, whose plan grows
+    # fivefold per axis (41 MB in 6-D)
+    for _ in range(2):
+        probe_properties(_product_laplace(4), ["convex"])
+    assert builds == [dimension] * 4 + [4, 4]
+    assert probe._shared_plans == {}
 
 
 # ------------------------------------------------------------- validation
