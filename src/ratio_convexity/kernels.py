@@ -174,6 +174,8 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     # factored log may be -inf or NaN until its row is redone
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         wide = _fill_table(out, anchors, offsets, samples, inv, log_norms)
+        if not np.count_nonzero(wide):
+            return out
         # the direct kernel redoes the wide rows, a few offsets per call
         per_call = max(1, _CHUNK_VALUES // total)
         for r in np.flatnonzero(wide.any(axis=1)):
@@ -295,8 +297,9 @@ def _offset_peaks(ends, half_squares, log_norms, peak, wide, constant):
     np.max(ends, axis=-1, out=peak)
     # a NaN span (an offset past double range) is wide too
     np.logical_not(peak - ends.min(axis=-1) <= _SPAN_LIMIT, out=wide)
-    # a wide offset's row is redone, so its weights are set to 0 by an
-    # infinite shift: past the span limit they would hold subnormals,
-    # which made a lone 1-D sample's product 17 times slower
-    np.copyto(peak, np.inf, where=wide)
+    if np.count_nonzero(wide):
+        # a wide offset's row is redone, so its weights are set to 0 by an
+        # infinite shift: past the span limit they would hold subnormals,
+        # which made a lone 1-D sample's product 17 times slower
+        np.copyto(peak, np.inf, where=wide)
     np.subtract(log_norms[:, None] + peak, half_squares, out=constant)

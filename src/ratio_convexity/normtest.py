@@ -25,6 +25,7 @@ approximate in the same way the statistic is.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import sys
@@ -425,23 +426,40 @@ def _statistic_plan(grid, dimension):
 
 def _grid_statistic(tables, plan):
     """The statistic over a grid plan of log f tables, one row per offset
-    in the plan's order, split into arrays of any number of rows (see
-    :func:`probe._offset_rows`).
+    in the plan's order: the first array starts with the row of offset 0,
+    and after it every array holds whole (-t d, +t d) pairs of rows (a
+    KDE's one table, or the arrays of :func:`probe._offset_rows`).
 
     As on the lattice, each block takes one second difference of log f at
     every anchor and one gap between each shifted centre's and its base
-    point's: the second difference of log h = log f(. + y) - log f(.)."""
+    point's: the second difference of log h = log f(. + y) - log f(.).
+    The blocks go in chunks of about ``kernels._CHUNK_VALUES`` gaps (or
+    one block): a chunk forms its blocks' second differences at once,
+    gathers their shifted centres with one ``take`` on the plan's indices
+    and reduces each block with one max.  Every step is elementwise or a
+    max, so a block's value does not depend on its chunk."""
     k = plan.base.shape[0]
-    rows = (row for table in tables for row in table)
+    steps = plan.steps
+    per_chunk = max(1, kernels._CHUNK_VALUES // plan.centres.size)
+    tables = iter(tables)
+    first = next(tables)
     # 2 log f(x) is exact, so each d2 is the bits of plus - 2 centre + minus
-    centre = 2.0 * next(rows)
+    centre = 2.0 * first[0]
     best = 0.0
+    block = 0
     # the offsets after 0 come in (-t d, +t d) pairs, one pair per block
-    for block, (minus, plus) in enumerate(zip(rows, rows)):
-        step = plan.steps[block % len(plan.steps)]
-        d2 = plus - centre + minus
-        gap = d2[k:][plan.rows] - d2[:k]
-        best = max(best, float(np.max(np.abs(gap))) / (step * step))
+    for table in itertools.chain((first[1:],), tables):
+        for lo in range(0, len(table), 2 * per_chunk):
+            pairs = table[lo:lo + 2 * per_chunk]
+            d2 = np.subtract(pairs[1::2], centre)
+            d2 += pairs[::2]
+            gaps = d2.take(plan.centres, axis=1)
+            gaps -= d2[:, None, :k]
+            np.abs(gaps, out=gaps)
+            for worst in gaps.reshape(len(d2), -1).max(axis=1).tolist():
+                step = steps[block % len(steps)]
+                best = max(best, worst / (step * step))
+                block += 1
     return best
 
 

@@ -446,8 +446,9 @@ class _GridPlan:
 
     ``anchors`` stacks the base points x and then the distinct shifted
     centres x + y (one per bit pattern, so shifts that land on the same
-    lattice point share their evaluations); ``rows[yi]`` picks shift yi's
-    centres out of them.  ``offsets`` holds 0 and then -t d and +t d for
+    lattice point share their evaluations); ``centres[yi]`` holds the
+    indices among all anchors of shift yi's centres, one per base point,
+    for ``take``.  ``offsets`` holds 0 and then -t d and +t d for
     each block b, which pairs direction ``b // len(steps)`` with step
     ``steps[b % len(steps)]``: every point the grid needs is an anchor plus
     an offset.
@@ -455,7 +456,7 @@ class _GridPlan:
 
     base: np.ndarray
     anchors: np.ndarray
-    rows: np.ndarray
+    centres: np.ndarray
     offsets: np.ndarray
     steps: tuple
 
@@ -492,7 +493,7 @@ def _grid_plan(grid):
     offsets = np.vstack((np.zeros((1, n)),
                          np.stack((-steps, steps), axis=1).reshape(-1, n)))
     return _GridPlan(base=base, anchors=np.vstack((base, shifted[first])),
-                     rows=inverse.reshape(len(grid.y_set), k),
+                     centres=(inverse + k).reshape(len(grid.y_set), k),
                      offsets=offsets, steps=grid.steps)
 
 
@@ -572,7 +573,7 @@ def _log_ratio_blocks(tables, plan):
     k = plan.base.shape[0]
 
     def phi(values):
-        return values[k:][plan.rows] - values[:k]
+        return values.take(plan.centres) - values[:k]
 
     rows = (row for table in tables for row in table)
     phi_center = phi(next(rows))
@@ -666,25 +667,31 @@ def _probe(model, kinds, grid=None, *, tolerance=None, witness_cap=64):
     verdicts = tuple(
         Verdict(kind=kind, points_checked=points_checked,
                 violation_count=count, tolerance=tol,
-                witnesses=tuple(_witness(kind, grid, base, entry)
-                                for entry in kept))
+                witnesses=_witnesses(kind, grid, base, kept))
         for kind, count, kept in zip(kinds, violation_counts, candidates))
     return verdicts, phi_center
 
 
-def _witness(kind, grid, base, entry):
-    m, position, tol_used, triple_values = entry
-    yi, xi, di, ti = position
-    # a copy: ``base`` may be a shared plan's
-    x = base[xi].copy()
-    direction = grid.directions[di]
-    step = grid.steps[ti]
-    offset = step * direction
-    return Witness(
-        kind=kind, y=grid.y_set[yi], x=x, direction=direction, step=step,
-        triple=(x - offset, x.copy(), x + offset),
-        values=triple_values, margin=m, tolerance_used=tol_used,
-        position=position)
+def _witnesses(kind, grid, base, kept):
+    """The witnesses of one verdict's kept entries.  Their points are
+    formed at once, as the floats x - t d, x and x + t d of each entry
+    alone, in one new array (``base`` may be a shared plan's) of which
+    each witness gets its own rows: x, then its triple."""
+    if not kept:
+        return ()
+    _, xi, di, ti = np.array([entry[1] for entry in kept]).T
+    x = base[xi]
+    offset = np.array(grid.steps)[ti, None] * np.array(grid.directions)[di]
+    points = np.stack((x, x - offset, x, x + offset), axis=1)
+    witnesses = []
+    for (m, position, tol_used, values), rows in zip(kept, points):
+        yi, _, di, ti = position
+        witnesses.append(Witness(
+            kind=kind, y=grid.y_set[yi], x=rows[0],
+            direction=grid.directions[di], step=grid.steps[ti],
+            triple=(rows[1], rows[2], rows[3]), values=values, margin=m,
+            tolerance_used=tol_used, position=position))
+    return tuple(witnesses)
 
 
 def probe_property(model, kind, grid=None, *, tolerance=None, witness_cap=64):

@@ -224,6 +224,28 @@ def lattice_statistic_loop(log_values, plan):
     return best
 
 
+def grid_statistic_loop(tables, plan):
+    """The grid statistic block by block: for each (-t d, +t d) pair of
+    log f rows one second difference over every anchor, a fancy-indexed
+    gap between each shifted centre's and its base point's, and a running
+    max of |gap| / t^2 that skips a NaN block.
+
+    ``tables`` are log f over the plan's anchors plus its offsets, one row
+    per offset in the plan's order, split into arrays of any number of
+    rows.
+    """
+    k = plan.base.shape[0]
+    rows = (row for table in tables for row in table)
+    centre = 2.0 * next(rows)
+    best = 0.0
+    for block, (minus, plus) in enumerate(zip(rows, rows)):
+        step = plan.steps[block % len(plan.steps)]
+        d2 = plus - centre + minus
+        gap = d2[plan.centres] - d2[:k]
+        best = max(best, float(np.max(np.abs(gap))) / (step * step))
+    return best
+
+
 def replicate_draw(root, m, seed, index):
     """Bootstrap replication ``index`` alone: m draws from N(0, root root')
     on its own SplitMix64 substream of ``seed``."""

@@ -38,6 +38,7 @@ from ratio_convexity.probe import (ProbeGrid, PropertyKind, _grid_plan,
 
 from _oracles import (
     adaptive_simpson,
+    grid_statistic_loop,
     kde_log_density_naive,
     lattice_pipeline_loop,
     lattice_statistic_loop,
@@ -364,6 +365,135 @@ def test_statistic_evaluates_each_distinct_point_once():
     # 169 base points and 377 distinct shifted centres, each at itself and
     # at +/- t d for 10 directions x 2 steps: (169 + 377) * 41 rows
     assert sum(calls) == 22386
+
+
+def _kde_table(plan, data):
+    """The KDE table of one standardized sample over a grid plan, as the
+    statistic reads it."""
+    z = _standardize(data[None])[0]
+    h = _silverman_per_axis(z)
+    return kernels.kde_log_density_table(
+        plan.anchors, plan.offsets, z[None], 1.0 / h[None],
+        [normtest._log_norm(len(z), h.tolist())])[0]
+
+
+def _blocks_per_chunk(plan):
+    return max(1, kernels._CHUNK_VALUES // plan.centres.size)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("draw", ["standard_normal", "laplace", "standard_cauchy"])
+def test_grid_statistic_is_the_block_loop_on_default_tables(dimension, draw):
+    plan = normtest._statistic_plan(None, dimension)
+    blocks = (len(plan.offsets) - 1) // 2
+    # several chunks, the last one partial
+    assert blocks > _blocks_per_chunk(plan) and blocks % _blocks_per_chunk(plan)
+    table = _kde_table(
+        plan, getattr(np.random.default_rng(110), draw)(size=(40, dimension)))
+    assert normtest._grid_statistic((table,), plan) == grid_statistic_loop(
+        (table,), plan)
+
+
+def _chunked_grids():
+    # 30 blocks of 4 shifts x 1681 points: 4 a chunk, the last one of 2
+    several = ProbeGrid.for_dimension(2, x_min=-3.0, x_max=3.0, points=41,
+                                      y_magnitudes=(1.0,), steps=(0.2, 0.4, 0.6))
+    # one block of 12 shifts x 3721 points holds more than a chunk
+    wide = ProbeGrid.for_dimension(2, x_min=-3.0, x_max=3.0, points=61,
+                                   y_magnitudes=(0.5, 1.0, 2.0), steps=(0.2, 0.4))
+    # a step off the 1-D lattice sends the default 1-D grid to the grid plan
+    far = ProbeGrid.for_dimension(1, x_min=-3.0, x_max=3.0, points=61,
+                                  y_magnitudes=(0.5, 1.0, 2.0), steps=(20.05,))
+    return {"several": several, "wide": wide, "far": far}
+
+
+@pytest.mark.parametrize("name", ["several", "wide", "far"])
+def test_grid_statistic_is_the_block_loop_across_chunks(name):
+    grid = _chunked_grids()[name]
+    plan = normtest._statistic_plan(grid, grid.dimension)
+    assert isinstance(plan, probe._GridPlan)
+    per_chunk = _blocks_per_chunk(plan)
+    blocks = (len(plan.offsets) - 1) // 2
+    if name == "several":
+        assert (per_chunk, blocks) == (4, 30)
+    elif name == "wide":
+        assert plan.centres.size > kernels._CHUNK_VALUES
+    table = _kde_table(
+        plan, np.random.default_rng(111).laplace(size=(30, grid.dimension)))
+    expected = grid_statistic_loop((table,), plan)
+    assert normtest._grid_statistic((table,), plan) == expected
+    # any split into the 0 row and whole (-t d, +t d) pairs reads the same
+    split = (table[:3], table[3:5 + 2 * per_chunk], table[5 + 2 * per_chunk:])
+    assert normtest._grid_statistic(split, plan) == expected
+
+
+@pytest.mark.parametrize("chunk", [None, 1000, 3 * 2028])
+def test_grid_statistic_reads_every_block_with_its_step(monkeypatch, chunk):
+    # one block at a time holds the largest gap: the statistic must find it
+    # in its chunk and divide it by that block's t^2.  The default 2-D
+    # blocks gather 12 x 169 = 2028 values: 16 a chunk by default, one
+    # when a block exceeds the chunk, or 3 with a partial last chunk
+    plan = normtest._statistic_plan(None, 2)
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_CHUNK_VALUES", chunk)
+    rng = np.random.default_rng(112)
+    background = rng.uniform(-1e-3, 1e-3, size=(len(plan.offsets), len(plan.anchors)))
+    blocks = (len(plan.offsets) - 1) // 2
+    for block in range(blocks):
+        table = background.copy()
+        # a bump at one shifted centre of the block's +t d row
+        table[2 + 2 * block, plan.centres[block % len(plan.centres), 84]] += 1.0
+        expected = grid_statistic_loop((table,), plan)
+        step = plan.steps[block % len(plan.steps)]
+        assert expected > 0.9 / (step * step)
+        assert normtest._grid_statistic((table,), plan) == expected
+
+
+def test_grid_statistic_skips_a_nan_block_as_the_loop_does():
+    plan = normtest._statistic_plan(None, 2)
+    table = _kde_table(plan, np.random.default_rng(113).standard_normal((40, 2)))
+    for row in (1, 2 + 2 * 15, len(table) - 1):
+        bad = table.copy()
+        bad[row, plan.centres[3, 7]] = np.nan
+        with np.errstate(invalid="ignore"):
+            statistic = normtest._grid_statistic((bad,), plan)
+            assert statistic == grid_statistic_loop((bad,), plan)
+        assert math.isfinite(statistic)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_grid_statistic_of_streamed_rows_is_the_block_loop(dimension):
+    plan = normtest._statistic_plan(None, dimension)
+    a = np.random.default_rng(114).standard_normal((dimension, dimension))
+    gaussian = Gaussian(GaussianParams(np.full(dimension, 0.3),
+                                       a @ a.T + np.eye(dimension)))
+    def log_f(points):
+        return -np.sqrt(1.0 + (points * points).sum(axis=-1))
+
+    custom = Custom(dimension, log_f, batch_evaluator=log_f)
+    for model in (gaussian, custom):
+        streamed = normtest._grid_statistic(
+            probe._offset_rows(model.log_density_many, plan), plan)
+        assert streamed == grid_statistic_loop(
+            probe._offset_rows(model.log_density_many, plan), plan)
+        assert streamed == violation_statistic(model)
+
+
+def test_grid_statistic_memory_stays_within_a_few_chunks():
+    # the table of 61 rows over 1681 + 4 x 1681 anchors holds 3.9 MB; a
+    # chunk of 4 blocks holds 4 x 6724 gaps and 4 rows of second differences
+    grid = _chunked_grids()["several"]
+    plan = normtest._statistic_plan(grid, 2)
+    table = np.random.default_rng(115).standard_normal(
+        (len(plan.offsets), len(plan.anchors)))
+    assert table.nbytes > 3 * 4 * 8 * kernels._CHUNK_VALUES
+    tracemalloc.start()
+    try:
+        normtest._grid_statistic((table,), plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * kernels._CHUNK_VALUES
 
 
 def _counting_plan_builds(monkeypatch):

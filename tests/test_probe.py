@@ -568,6 +568,11 @@ def test_default_probe_grid_plans_once(monkeypatch, run_cli, dimension):
     for w in witnesses:
         assert w.x.flags.writeable
         assert not np.shares_memory(w.x, plan.base)
+        # a witness's x and triple are rows of its own
+        assert isinstance(w.triple, tuple) and len(w.triple) == 3
+        assert not np.shares_memory(w.x, w.triple[1])
+    for w, other in zip(witnesses, witnesses[1:]):
+        assert not np.shares_memory(w.x, other.x)
     assert [str(v) for v in first] == [str(v) for v in second]
 
 
