@@ -21,16 +21,29 @@ every offset e, for a stack of samples at once.  In bandwidth units
 
     -|a' + e' - v_j|^2 / 2 = -|a' - v_j|^2 / 2 + e'.(v_j - c) - e'.(a' - c) - |e'|^2 / 2
 
-for any centre c.  So a sample's whole (offsets x anchors) table takes one
-exp per (anchor, observation), one per (offset, observation) and one
-matrix product over the observations, where the direct kernel takes one
-exp per (anchor, offset, observation).  Each sum is stabilized by its
-anchor's largest term and its offset's largest term.  The offset's terms
-exp(e'.v_j - max) span exp(-span) to 1, where span is the range of e'.v_j
-over the observations; the anchor's largest term meets one of them, so a
-table sum is at least exp(-span).  Every offset is factored, and then
-the direct kernel redoes the rows of the offsets whose span exceeds
-``_SPAN_LIMIT`` (a far outlier, a long step), whose sums may underflow.
+for any centre c, and the anchor's part factors again over the axes of
+the product kernel:
+
+    exp(-|a' - v_j|^2 / 2) = prod_k exp(-(a'_k - v_kj)^2 / 2 - P_k(a_k)) * exp(sum_k P_k(a_k))
+
+where P_k(u) is the largest of -(u' - v_kj)^2 / 2 over the observations.
+So a sample's whole (offsets x anchors) table takes one exp per (distinct
+coordinate of an axis, observation), one per (offset, observation), a
+product of gathered rows per (anchor, observation) and one matrix product
+over the observations, where the direct kernel takes one exp per (anchor,
+offset, observation).  A grid's anchors take few distinct values per axis
+(21 per axis for the 546 anchors of the default 2-D plan), so most of the
+anchors' exps are shared; in 1-D the distinct coordinates are the anchors
+themselves.  Each sum is stabilized by its anchor's per-axis peaks and its
+offset's largest term.  The offset's terms exp(e'.v_j - max) span
+exp(-span) to 1, where span is the range of e'.v_j over the observations;
+the per-axis peaks only bound the anchor's own, by a gap, so a table sum is
+at least exp(-span - gap) (the gap is 0 in 1-D).  Every offset is
+factored, and then the direct kernel redoes the rows of the offsets whose
+span exceeds ``_SPAN_LIMIT`` (a far outlier, a long step), whose sums may
+underflow, and the columns of the anchors with a sum below ``_SUM_FLOOR``
+(a gap of several hundred: an anchor whose nearest observations along
+each axis lie far from it along the others).
 
 A call forms each sample's per-offset terms once: its midrange c, its
 scaled offsets and their half squares, and in 1-D each offset's peak, wide
@@ -43,9 +56,12 @@ lattice point is one of about sqrt(points) anchors plus one of about
 sqrt(points) offsets, and a block of bootstrap replicates is one call.
 """
 
+import itertools
+
 import numpy as np
 
-__all__ = ["backend_name", "kde_log_density_batch", "kde_log_density_table"]
+__all__ = ["anchor_axes", "backend_name", "kde_log_density_batch",
+           "kde_log_density_table"]
 
 #: most (point, observation) values held by one chunk, unless m is larger
 _CHUNK_VALUES = 1 << 15
@@ -53,6 +69,10 @@ _CHUNK_VALUES = 1 << 15
 #: then at least exp(-600), about 1e-261, a normal float (exp underflows
 #: past about -708, to subnormals, and to 0 past -745)
 _SPAN_LIMIT = 600.0
+#: smallest table sum kept: about 1e-289, a normal float 2**62 above the
+#: subnormals, so the terms that round to subnormals or to 0 (each off by
+#: at most 2**-1075) cannot move a kept sum by more than m * 2**-115 of it
+_SUM_FLOOR = 2.0 ** -960
 #: most multiply-adds in one of the table's matrix products.  OpenBLAS runs
 #: a larger product on several threads, which at these sizes costs more
 #: than it saves: a default 2-D table at m = 40 took 1.6 ms of wall and
@@ -95,6 +115,12 @@ def _scaled_kernel_terms(scaled_points, data_t, quad, gap):
                     out=gap)
         np.multiply(gap, gap, out=gap)
         quad += gap
+    return _stabilized_exp(quad)
+
+
+def _stabilized_exp(quad):
+    """Replace each squared gap g in ``quad`` by exp(-g / 2 - peak), where
+    peak is its row's largest -g / 2, and return the peaks."""
     quad *= -0.5
     peak = quad.max(axis=-1)
     quad -= peak[..., None]
@@ -127,17 +153,39 @@ def kde_log_density_batch(points, data, inv_bandwidth, log_norm):
     return out
 
 
-def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
+def anchor_axes(anchors):
+    """Each axis's distinct anchor coordinates and each anchor's index into
+    them: one ``(values, index)`` pair per axis, the values ascending.  The
+    index is None where the values are the anchors' own coordinates, in
+    order (a 1-D lattice's anchors)."""
+    axes = []
+    for column in np.asarray(anchors, dtype=np.float64).T:
+        values, index = np.unique(column, return_inverse=True)
+        if len(values) == len(column) and np.array_equal(values, column):
+            index = None
+        else:
+            # the narrowest integers that hold it: a grid of 65,694 anchors
+            # keeps 64 KB per axis in place of 513 KB
+            index = index.astype(np.min_scalar_type(len(values) - 1))
+        axes.append((values, index))
+    return tuple(axes)
+
+
+def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms,
+                          axes=None):
     """Log-density of R Gaussian product-kernel KDEs at every anchor plus
     every offset, as an (R, offsets, anchors) array: ``[r, b, p]`` holds
     log f of sample ``samples[r]`` at ``anchors[p] + offsets[b]``.
 
     ``samples`` is an (R, m, n) stack, one sample per first index, with
     its positive inverse bandwidths (R, n) and ``log_norm`` constants (R,)
-    as in :func:`kde_log_density_batch`.  A value agrees with the direct
-    kernel's to a few units in the last place of the largest term it sums:
-    |log f|, the offset's exponent span (at most ``_SPAN_LIMIT``) and
-    |e'.(a' - c)|.
+    as in :func:`kde_log_density_batch`.  ``axes`` is
+    :func:`anchor_axes` of the anchors, formed here when None (a caller
+    that reads the same anchors again forms it once).  A value agrees with
+    the direct kernel's to a few units in the last place of the largest
+    term it sums: |log f|, the offset's exponent span (at most
+    ``_SPAN_LIMIT``), the sum of the anchor's per-axis peaks
+    sum_k |P_k| and |e'.(a' - c)|.
 
     Every offset of every sample is factored.  Each sample's midrange,
     scaled offsets and their half squares are formed once per call, and in
@@ -149,11 +197,16 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     values (fewer when the product would pass ``_PRODUCT_TERMS``).  Every
     stack fills one set of buffers, allocated per offset group: its scaled
     and centred data and anchors, its weights (in n-D, from which each
-    offset's peak, flag and constant are read) and an anchor chunk's
-    terms, sums and linear terms.  Then the direct kernel redoes each
-    (sample, offset) row whose span passes ``_SPAN_LIMIT`` (or is NaN), in
-    calls of about ``_CHUNK_VALUES`` values.  So a call needs those
-    buffers, a few values per (sample, offset), the scaled copies of its
+    offset's peak, flag and constant are read), each axis's terms over its
+    distinct coordinates when all of them fit in ``_CHUNK_VALUES`` values
+    (else each chunk forms its anchors' terms whole, stabilized by each
+    anchor's own peak), and an anchor chunk's terms, sums and linear
+    terms.  Then the direct kernel
+    redoes each (sample, offset) row whose span passes ``_SPAN_LIMIT`` (or
+    is NaN), and each (sample, anchor) column with a sum over an offset
+    that is not wide below ``_SUM_FLOOR`` (or NaN), in calls of about
+    ``_CHUNK_VALUES`` values.  So a call needs those buffers, a few values
+    per (sample, offset) and per (sample, anchor), the scaled copies of its
     inputs and its output, whatever m or the anchor count.  Stacked or
     alone, a sample passes the same operations on its own values, and a
     stacked product multiplies each sample's matrices on their own, with
@@ -168,15 +221,18 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
     inv = np.asarray(inv_bandwidths, dtype=np.float64)
     log_norms = np.asarray(log_norms, dtype=np.float64)
     n = samples.shape[2]
-    total = anchors.shape[0]
-    out = np.empty((samples.shape[0], offsets.shape[0], total))
-    # an offset past double range scales to inf, and a wide offset's
-    # factored log may be -inf or NaN until its row is redone
+    total, count = anchors.shape[0], offsets.shape[0]
+    out = np.empty((samples.shape[0], count, total))
+    low_anchors = np.zeros((samples.shape[0], total), dtype=bool)
+    # an offset past double range scales to inf, and a wide offset's or a
+    # low anchor's factored log may be -inf or NaN until it is redone
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        wide = _fill_table(out, anchors, offsets, samples, inv, log_norms)
-        if not np.count_nonzero(wide):
+        wide = _fill_table(out, anchors, offsets, samples, inv, log_norms,
+                           axes, low_anchors)
+        if not (np.count_nonzero(wide) or np.count_nonzero(low_anchors)):
             return out
-        # the direct kernel redoes the wide rows, a few offsets per call
+        # the direct kernel redoes the wide rows, a few offsets per call,
+        # and then the low columns' other offsets, a few anchors per call
         per_call = max(1, _CHUNK_VALUES // total)
         for r in np.flatnonzero(wide.any(axis=1)):
             redo = np.flatnonzero(wide[r])
@@ -185,6 +241,15 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms):
                 points = (anchors + offsets[batch, None, :]).reshape(-1, n)
                 out[r, batch] = kde_log_density_batch(
                     points, samples[r], inv[r], log_norms[r]).reshape(-1, total)
+        for r in np.flatnonzero(low_anchors.any(axis=1)):
+            redo = np.flatnonzero(low_anchors[r])
+            kept = np.flatnonzero(~wide[r])
+            per_anchors = max(1, _CHUNK_VALUES // kept.size)
+            for start in range(0, redo.size, per_anchors):
+                batch = redo[start:start + per_anchors]
+                points = (anchors[batch, None, :] + offsets[kept]).reshape(-1, n)
+                out[r][np.ix_(kept, batch)] = kde_log_density_batch(
+                    points, samples[r], inv[r], log_norms[r]).reshape(-1, kept.size).T
     return out
 
 
@@ -204,10 +269,12 @@ def _stack_width(total, count, m):
     return max(1, 2 * _CHUNK_VALUES // ((total + count) * m + 2 * total * count))
 
 
-def _fill_table(out, anchors, offsets, samples, inv, log_norms):
+def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
+                low_anchors=None):
     """Fill ``out`` with the factored tables of the arguments of
     :func:`kde_log_density_table`, and return the (samples, offsets) mask
-    of the wide offsets, whose values the caller redoes."""
+    of the wide offsets, and set ``low_anchors``, a (samples, anchors) mask
+    when given, at the low anchors: the caller redoes the values of both."""
     width, m, n = samples.shape
     total, count = anchors.shape[0], offsets.shape[0]
     # the linear terms are taken about each sample's midrange, so that they
@@ -229,6 +296,30 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms):
                       log_norms, peak, wide, constant)
     stack = min(max(width, 1), _stack_width(total, count, m))
     group = max(1, _CHUNK_VALUES // m)
+    if axes is None:
+        axes = anchor_axes(anchors)
+    if low_anchors is None:
+        low_anchors = np.zeros((width, total), dtype=bool)
+    # every axis's terms over its distinct coordinates, one block of rows
+    # per axis, when they fit in one chunk of values (a choice of the
+    # sample's own, so the same alone or stacked); each anchor reads its
+    # row of every axis through the index.  Past that (large m) each chunk
+    # forms its anchors' terms whole, as the direct kernel does, with one
+    # exp per (anchor, observation): per-axis terms of each chunk's own
+    # anchors took 1.4 times as long.  In 1-D with the anchors' own
+    # coordinates a chunk's terms are a slice of the block
+    counts = [len(values) for values, _ in axes]
+    shared = _fits_one_chunk(sum(counts), m)
+    sliced = shared and n == 1 and axes[0][1] is None
+    if shared:
+        terms = np.empty((stack, sum(counts), m))
+    if shared and not sliced:
+        coordinates = np.concatenate([values for values, _ in axes])
+        owner = np.repeat(np.arange(n), counts)
+        blocks = list(itertools.accumulate(counts, initial=0))
+        blocks = [slice(lo, hi) for lo, hi in zip(blocks[:-1], blocks[1:])]
+        scaled_coordinates = np.empty((stack, len(coordinates)))
+        row_peaks = np.empty((stack, total))
     # the buffers that every stack fills in turn
     data_t, centred_data = np.empty((2, stack, n, m))
     scaled_anchors, centred_anchors = np.empty((2, stack, total, n))
@@ -238,8 +329,8 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms):
         rows = max(1, min(_CHUNK_VALUES // (m + columns),
                           _PRODUCT_TERMS // (m * columns)))
         weights = np.empty((stack, columns, m))
-        quad = np.empty((stack, min(rows, total), m))
-        gap = np.empty_like(quad) if n > 1 else None
+        quad = None if sliced else np.empty((stack, min(rows, total), m))
+        spare = np.empty_like(quad) if n > 1 else None
         sums, linear = np.empty((2, stack, min(rows, total), columns))
         for lo in range(0, width, stack):
             chunk = slice(lo, lo + stack)
@@ -270,13 +361,44 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms):
             np.exp(w, out=w)
             w = w.transpose(0, 2, 1)
             offset_columns = offset_rows.transpose(0, 2, 1)
+            table = terms[:size] if shared else None
+            if sliced:
+                # the coordinates are the scaled anchors themselves
+                anchor_peaks = _axis_terms(points[..., 0], data, table)
+            elif shared:
+                # each row's observations along its axis, gathered into the
+                # terms' buffer, and then each axis's rows of the terms and
+                # of their peaks with the index the anchors read them by
+                observations = np.take(data, owner, axis=1, out=table,
+                                       mode="clip")
+                axis_peaks = _axis_terms(
+                    np.multiply(coordinates, inv[chunk][:, owner],
+                                out=scaled_coordinates[:size]),
+                    observations, table)
+                sources = [(table[:, block], axis_peaks[:, block], index)
+                           for (_, index), block in zip(axes, blocks)]
+                anchor_peaks = _peak_sums(sources, row_peaks[:size])
             for start in range(0, total, rows):
                 stop = min(start + rows, total)
-                q = quad[:size, :stop - start]
-                row_peak = _scaled_kernel_terms(
-                    points[:, start:stop], data, q,
-                    None if gap is None else gap[:size, :stop - start])
+                if sliced:
+                    q = table[:, start:stop]
+                else:
+                    q = quad[:size, :stop - start]
+                    buffer = None if spare is None else spare[:size, :stop - start]
+                if not shared:
+                    row_peak = _scaled_kernel_terms(points[:, start:stop], data,
+                                                    q, buffer)
+                else:
+                    row_peak = anchor_peaks[:, start:stop]
+                    if not sliced:
+                        _gathered_terms(sources, start, stop, q, buffer)
                 s = np.matmul(q, w, out=sums[:size, :stop - start])
+                # a sum below the floor (or NaN) of an offset that is not
+                # wide marks its anchor for the direct kernel
+                if not s.min() >= _SUM_FLOOR:
+                    short = np.logical_not(s >= _SUM_FLOOR)
+                    short &= ~wide[chunk, None, picked]
+                    low_anchors[chunk, start:stop] |= short.any(axis=2)
                 np.log(s, out=s)
                 s += row_peak[:, :, None]
                 s -= np.matmul(centred_points[:, start:stop], offset_columns,
@@ -286,8 +408,56 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms):
         # a group's buffers go before the next group's come: at m past
         # _CHUNK_VALUES a call then holds one row of each beside its scaled
         # samples
-        weights = w = quad = q = gap = sums = linear = s = None
+        weights = w = quad = q = spare = buffer = sums = linear = s = None
     return wide
+
+
+def _fits_one_chunk(rows, m):
+    """Whether ``rows`` rows of m terms fit in one chunk of values."""
+    return rows * m <= _CHUNK_VALUES
+
+
+def _axis_terms(scaled, observations, out):
+    """Fill ``out`` with exp(-(u - v_j)^2 / 2 - P(u)) for each scaled
+    coordinate u (..., rows) and the observations v_j along its axis
+    (..., rows or 1, m), and return each row's P(u), the largest of
+    -(u - v_j)^2 / 2.  ``observations`` may be ``out`` itself."""
+    np.subtract(scaled[..., None], observations, out=out)
+    np.multiply(out, out, out=out)
+    return _stabilized_exp(out)
+
+
+def _peak_sums(sources, out):
+    """Set ``out`` (stack, anchors) to each anchor's sum of its per-axis
+    peaks, read from each axis's (terms, peaks, index) in ``sources``, and
+    return it.  The anchors go in pieces of about ``_CHUNK_VALUES`` values,
+    so that a large grid gathers no anchor-sized temporary."""
+    width, total = out.shape
+    piece = max(1, _CHUNK_VALUES // width)
+    for lo in range(0, total, piece):
+        part = slice(lo, lo + piece)
+        for k, (_, peaks, index) in enumerate(sources):
+            peaks = peaks[:, part] if index is None else peaks.take(index[part],
+                                                                    axis=1)
+            if k:
+                out[:, part] += peaks
+            else:
+                out[:, part] = peaks
+    return out
+
+
+def _gathered_terms(sources, start, stop, q, spare):
+    """Fill ``q`` with the product over the axes of the terms that anchors
+    ``start`` to ``stop`` read from each axis's (terms, peaks, index) in
+    ``sources``."""
+    for k, (terms, _, index) in enumerate(sources):
+        rows = spare if k else q
+        if index is None:
+            np.copyto(rows, terms[:, start:stop])
+        else:
+            np.take(terms, index[start:stop], axis=1, out=rows, mode="clip")
+        if k:
+            q *= rows
 
 
 def _offset_peaks(ends, half_squares, log_norms, peak, wide, constant):

@@ -29,8 +29,7 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -399,9 +398,10 @@ def _statistic_plan(grid, dimension):
     else the grid plan.  A step whose square underflows is refused: the
     statistic divides by it.
 
-    The default grid's plan is built on its first use in a process and
-    shared from then on, its arrays read-only; any other grid's plan is
-    built per call.
+    Either plan carries its anchors' distinct coordinates per axis
+    (:func:`kernels.anchor_axes`) for the KDE table.  The default grid's
+    plan is built on its first use in a process and shared from then on,
+    its arrays read-only; any other grid's plan is built per call.
     """
     default = default_test_grid(dimension)
     if grid is None:
@@ -419,6 +419,7 @@ def _statistic_plan(grid, dimension):
     if shared and dimension in _shared_plans:
         return _shared_plans[dimension]
     plan = _lattice_plan(grid) or _grid_plan(grid)
+    plan = replace(plan, axes=kernels.anchor_axes(plan.anchors))
     if shared:
         _shared_plans[dimension] = _read_only(plan)
     return plan
@@ -472,7 +473,7 @@ class _LatticePlan:
     The lattice is also a KDE table: point k is anchor a plus offset b for
     k = a B + b, with B = ceil(sqrt(points)) offsets b * spacing and
     A = ceil(points / B) anchors; the last A B - points values of a table
-    are computed and dropped."""
+    are computed and dropped.  ``axes`` is as for the grid plan."""
 
     points: np.ndarray
     pad: int
@@ -481,6 +482,7 @@ class _LatticePlan:
     t_offsets: tuple
     anchors: np.ndarray
     offsets: np.ndarray
+    axes: tuple = None
 
 
 def _lattice_plan(grid):
@@ -557,7 +559,7 @@ def _kde_statistics(samples, bandwidths, plan):
         part = slice(lo, lo + stack)
         tables = kernels.kde_log_density_table(
             plan.anchors, plan.offsets, samples[part],
-            1.0 / bandwidths[part], log_norms[part])
+            1.0 / bandwidths[part], log_norms[part], plan.axes)
         if isinstance(plan, _LatticePlan):
             # tables[r, b, a] is lattice point a B + b of sample r.  numpy
             # reduces a C-ordered (points, R) array row by row, fast for a
@@ -762,6 +764,9 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     payloads = [(root, sample.count, plan, seed, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if budget > 1:
+        # imported here: the pool's modules take 15-20 ms to import, and a
+        # serial run never needs them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             batches = list(pool.map(_replicate_statistics, *zip(*payloads)))
     else:

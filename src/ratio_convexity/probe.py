@@ -451,7 +451,9 @@ class _GridPlan:
     for ``take``.  ``offsets`` holds 0 and then -t d and +t d for
     each block b, which pairs direction ``b // len(steps)`` with step
     ``steps[b % len(steps)]``: every point the grid needs is an anchor plus
-    an offset.
+    an offset.  ``axes`` is None, or the anchors' distinct coordinates per
+    axis (:func:`kernels.anchor_axes`), which the normality statistic's
+    plans carry for the KDE table.
     """
 
     base: np.ndarray
@@ -459,6 +461,7 @@ class _GridPlan:
     centres: np.ndarray
     offsets: np.ndarray
     steps: tuple
+    axes: tuple = None
 
 
 def _distinct_rows(points):
@@ -498,10 +501,16 @@ def _grid_plan(grid):
 
 
 def _read_only(plan):
-    """``plan`` with every array it holds made read-only, to be shared."""
-    for values in vars(plan).values():
+    """``plan`` with every array it holds, in tuples too, made read-only,
+    to be shared."""
+    def freeze(values):
         if isinstance(values, np.ndarray):
             values.setflags(write=False)
+        elif isinstance(values, tuple):
+            for item in values:
+                freeze(item)
+
+    freeze(tuple(vars(plan).values()))
     return plan
 
 
@@ -653,23 +662,38 @@ def _probe(model, kinds, grid=None, *, tolerance=None, witness_cap=64):
             # tolerances and witness values only at the hits kept
             tol_used, values = _witness_values(kind, tol, np.array(
                 [phi.flat[hits] for phi in (phi_minus, phi_center, phi_plus)]))
-            kept = candidates[slot]
-            for flat, m, t, triple in zip(hits.tolist(), hit_margins.tolist(),
-                                          tol_used.tolist(), values.T.tolist()):
-                yi, xi = divmod(flat, k)
-                kept.append((m, (yi, xi, di, ti), t, tuple(triple)))
-            # (-|margin|, position) is a total order, so the top
-            # witness_cap kept after each block are the top witness_cap of
-            # the whole grid
-            kept.sort(key=lambda entry: (-abs(entry[0]), entry[1]))
-            del kept[witness_cap:]
+            yi, xi = np.divmod(hits, k)
+            positions = np.array((yi, xi, np.full_like(yi, di),
+                                  np.full_like(yi, ti)))
+            candidates[slot].append((hit_margins, positions, tol_used, values))
 
     verdicts = tuple(
         Verdict(kind=kind, points_checked=points_checked,
                 violation_count=count, tolerance=tol,
-                witnesses=_witnesses(kind, grid, base, kept))
-        for kind, count, kept in zip(kinds, violation_counts, candidates))
+                witnesses=_witnesses(kind, grid, base,
+                                     _top_entries(found, witness_cap)))
+        for kind, count, found in zip(kinds, violation_counts, candidates))
     return verdicts, phi_center
+
+
+def _top_entries(found, witness_cap):
+    """The ``(margin, position, tolerance, values)`` entries of the
+    ``witness_cap`` largest |margin| among one verdict's candidates, ties
+    broken by position (y, x, direction, step), in that order.  ``found``
+    holds each block's candidates as arrays: margins, positions (4,
+    cells), tolerances and values (3, cells).  (-|margin|, position) is a
+    total order, so one sort of every block's top witness_cap gives the
+    top witness_cap of the whole grid."""
+    if not found:
+        return []
+    margins, positions, tolerances, values = (
+        np.concatenate(parts, axis=-1) for parts in zip(*found))
+    # lexsort's last key is its primary one
+    order = np.lexsort((*positions[::-1], -np.abs(margins)))[:witness_cap]
+    return list(zip(margins[order].tolist(),
+                    map(tuple, positions[:, order].T.tolist()),
+                    tolerances[order].tolist(),
+                    map(tuple, values[:, order].T.tolist())))
 
 
 def _witnesses(kind, grid, base, kept):

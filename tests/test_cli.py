@@ -837,6 +837,31 @@ def test_commands_run_without_scipy(data_dir):
     assert report == {"codes": [0, 0, 0, 0], "scipy_modules": []}
 
 
+_SERIAL_TEST = """
+import contextlib, io, json, sys
+
+from ratio_convexity import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+pool = sorted(name for name in ("concurrent.futures.process", "multiprocessing")
+              if name in sys.modules)
+print(json.dumps({"code": code, "pool_modules": pool}))
+"""
+
+
+def test_serial_test_imports_no_worker_pool(data_dir):
+    # the worker pool's modules load only when a run asks for workers
+    argv = ["test", "--input", str(data_dir / "normal_200.csv"), "--reps", "99"]
+    env = _child_env()
+    env.pop("RATIO_CONVEXITY_THREADS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _SERIAL_TEST, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"code": 0, "pool_modules": []}
+
+
 def test_fixture_files_match_their_generators(data_dir):
     import importlib.util
 

@@ -239,6 +239,93 @@ def test_table_memory_does_not_grow_with_m_or_anchors(m, points):
     assert peak - table.nbytes - 2 * plan.anchors.nbytes < 2 * 2 ** 20
 
 
+# ------------------------------------------------- per-axis anchor terms
+
+
+def test_anchor_axes_rebuild_every_anchor():
+    plan = normtest._statistic_plan(None, 3)
+    axes = kernels.anchor_axes(plan.anchors)
+    assert [len(values) for values, _ in axes] == [19, 19, 19]
+    for k, (values, index) in enumerate(axes):
+        assert (np.diff(values) > 0).all()
+        assert values[index].tobytes() == plan.anchors[:, k].tobytes()
+    # a 1-D lattice's anchors are their own coordinates
+    lattice = normtest._statistic_plan(None, 1)
+    ((values, index),) = kernels.anchor_axes(lattice.anchors)
+    assert index is None
+    assert values.tobytes() == lattice.anchors[:, 0].tobytes()
+
+
+def test_cross_sample_sends_low_anchors_to_the_direct_kernel():
+    # observations on the two axes only: an anchor off both axes meets an
+    # observation near each of its coordinates, so its per-axis peaks are
+    # near 0, while its nearest observation is a whole coordinate away on
+    # the other axis.  At h = 0.05 that overstates the anchor's peak by far
+    # more than exp underflows past, and its factored sums fall to 0
+    t = np.linspace(-3.0, 3.0, 21)
+    data = np.concatenate((np.stack((t, np.zeros_like(t)), axis=1),
+                           np.stack((np.zeros_like(t), t), axis=1)))
+    bandwidths = np.full(2, 0.05)
+    plan = normtest._statistic_plan(None, 2)
+    scaled = plan.anchors / bandwidths
+    v = data / bandwidths
+    squares = (scaled[:, None, :] - v[None, :, :]) ** 2
+    axis_peaks = (-0.5 * squares).max(axis=1).sum(axis=1)
+    true_peaks = (-0.5 * squares.sum(axis=2)).max(axis=1)
+    assert (axis_peaks - true_peaks).max() > 700.0
+    inv, log_norm = 1.0 / bandwidths, log_norm_of(data, bandwidths)
+    out = np.empty((1, len(plan.offsets), len(plan.anchors)))
+    low = np.zeros((1, len(plan.anchors)), dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        wide = kernels._fill_table(out, plan.anchors, plan.offsets, data[None],
+                                   inv[None], np.array([log_norm]), plan.axes, low)
+    assert low.any() and not low.all()
+    assert not wide.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = kernels.kde_log_density_table(
+            plan.anchors, plan.offsets, data[None], inv[None], [log_norm],
+            plan.axes)[0]
+        rows = (plan.anchors + plan.offsets[:, None, :]).reshape(-1, 2)
+        direct = kernels.kde_log_density_batch(rows, data, inv, log_norm)
+    direct = direct.reshape(table.shape)
+    assert np.all(np.abs(table - direct) <= TABLE_RTOL * (1.0 + np.abs(direct)))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_per_chunk_anchor_terms_agree_with_shared_ones(monkeypatch, dimension):
+    # past one chunk of per-axis terms (large m) each chunk forms its
+    # anchors' terms whole; refusing the shared terms sends a small call
+    # down that route, which agrees to the table's tolerance, and in 1-D,
+    # where both take the same steps, to the bit
+    plan = normtest._statistic_plan(None, dimension)
+    samples, inv, log_norms = _stack(dimension, 40, ("standard_normal", "t3"), 4100)
+    shared = _stacked_call(plan, samples, inv, log_norms)
+    monkeypatch.setattr(kernels, "_fits_one_chunk", lambda rows, m: False)
+    per_chunk = _stacked_call(plan, samples, inv, log_norms)
+    if dimension == 1:
+        assert shared.tobytes() == per_chunk.tobytes()
+    assert np.all(np.abs(shared - per_chunk)
+                  <= TABLE_RTOL * (1.0 + np.abs(per_chunk)))
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_table_past_one_chunk_of_axis_terms_matches_direct_kernel(dimension):
+    # at m = 1000 the default plans' per-axis terms (42 or 57 rows) pass
+    # one chunk, and each anchor chunk forms its anchors' terms whole
+    plan = normtest._statistic_plan(None, dimension)
+    assert not kernels._fits_one_chunk(
+        sum(len(values) for values, _ in plan.axes), 1000)
+    samples, inv, log_norms = _stack(dimension, 1000, ("t3",), 4200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _stacked_call(plan, samples, inv, log_norms)[0]
+        rows = (plan.anchors + plan.offsets[:, None, :]).reshape(-1, dimension)
+        direct = kernels.kde_log_density_batch(rows, samples[0], inv[0],
+                                               log_norms[0]).reshape(table.shape)
+    assert np.all(np.abs(table - direct) <= TABLE_RTOL * (1.0 + np.abs(direct)))
+
+
 # ------------------------------------------------------- stacked samples
 
 

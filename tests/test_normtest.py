@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 import warnings
@@ -527,6 +528,53 @@ def test_default_statistic_plans_once(monkeypatch, dimension):
     assert len(arrays) >= 3
     assert not any(values.flags.writeable for values in arrays)
     assert default_test_grid(dimension) is default_test_grid(dimension)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_default_statistic_plans_factor_their_anchors_once(monkeypatch,
+                                                           dimension):
+    _counting_plan_builds(monkeypatch)
+    factored = []
+
+    def counting(anchors, factor=kernels.anchor_axes):
+        factored.append(len(anchors))
+        return factor(anchors)
+
+    monkeypatch.setattr(kernels, "anchor_axes", counting)
+    data = np.random.default_rng(77).standard_normal((30, dimension))
+    model = kde_log_density(Sample(data))
+    first = violation_statistic(model)
+    assert violation_statistic(model) == first
+    plan = normtest._statistic_plan(None, dimension)
+    # once per process for the default plan, and never inside the kernel
+    assert factored == [len(plan.anchors)]
+    assert len(plan.axes) == dimension
+    for k, (values, index) in enumerate(plan.axes):
+        assert not values.flags.writeable and not index.flags.writeable
+        assert values[index].tobytes() == plan.anchors[:, k].tobytes()
+    # any other grid factors its own plan's anchors, per call
+    grid = ProbeGrid.for_dimension(dimension, x_min=-3.0, x_max=3.0, points=5,
+                                   y_magnitudes=(0.5, 1.0), steps=(0.2, 0.4))
+    assert violation_statistic(model, grid) == violation_statistic(model, grid)
+    assert factored[1:] == [factored[1]] * 2 and len(factored) == 3
+    assert normtest._shared_plans.keys() == {dimension}
+
+
+@pytest.mark.parametrize("m", [20, 40, 200])
+@pytest.mark.parametrize("draw", ["standard_normal", "t3", "standard_cauchy"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_statistic_of_per_axis_table_equals_per_shift_oracle(dimension, draw, m):
+    # the table's anchor terms are products of per-axis rows; the oracle
+    # evaluates every shift's points through the direct kernel
+    rng = np.random.default_rng(7700 + 10 * dimension + m)
+    if draw == "t3":
+        data = rng.standard_t(3, size=(m, dimension))
+    else:
+        data = getattr(rng, draw)(size=(m, dimension))
+    model = kde_log_density(Sample(data))
+    grid = default_test_grid(dimension)
+    assert violation_statistic(model) == pytest.approx(
+        per_shift_statistic(model, grid), rel=STATISTIC_RTOL)
 
 
 def test_only_the_default_grid_plan_is_shared(monkeypatch):
@@ -1099,7 +1147,7 @@ def test_workers_are_bounded_by_core_count(monkeypatch):
     data = np.random.default_rng(13).standard_normal((40, 1))
     monkeypatch.delenv("RATIO_CONVEXITY_THREADS", raising=False)
     serial = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
-    monkeypatch.setattr(normtest, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(normtest.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("RATIO_CONVEXITY_THREADS", "64")
     bounded = monte_carlo_pvalue(Sample(data), reps=99, seed=3)
@@ -1112,7 +1160,7 @@ def test_grid_workers_match_serial(monkeypatch):
     monkeypatch.delenv("RATIO_CONVEXITY_THREADS", raising=False)
     serial = monte_carlo_pvalue(Sample(data), reps=99, seed=6)
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(normtest, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(normtest.os, "cpu_count", lambda: 3)
     monkeypatch.setenv("RATIO_CONVEXITY_THREADS", "3")
     pooled = monte_carlo_pvalue(Sample(data), reps=99, seed=6)

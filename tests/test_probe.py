@@ -218,6 +218,43 @@ def test_witness_cap_limits_materialization_not_count():
         assert a.margin == b.margin
 
 
+def _witness_record(witness):
+    return (witness.margin, witness.position, witness.tolerance_used,
+            witness.values, witness.x.tolist(),
+            [point.tolist() for point in witness.triple])
+
+
+@pytest.mark.parametrize("cap", [1, 3, 64])
+@pytest.mark.parametrize("model", ["laplace", "quartic", "kde-2d"])
+def test_witnesses_are_the_sorted_list_of_every_hit(model, cap):
+    # the oracle: every finite hit (an uncapped probe keeps them all),
+    # sorted as a Python list by (-|margin|, position) and cut at the cap
+    grid = None
+    if model == "laplace":
+        model = Laplace1D()
+    elif model == "quartic":
+        model = Quartic1D()
+    else:
+        # several directions and steps, so that positions differ in each
+        model = kde_log_density(Sample(np.random.default_rng(18).laplace(size=(40, 2))))
+        grid = ProbeGrid.for_dimension(2, x_min=-2.0, x_max=2.0, points=9)
+    kinds = list(PropertyKind)
+    capped = probe_properties(model, kinds, grid, witness_cap=cap)
+    every = probe_properties(model, kinds, grid, witness_cap=10 ** 9)
+    ties = 0
+    for got, full in zip(capped, every):
+        assert got.violation_count == full.violation_count
+        ordered = sorted(full.witnesses,
+                         key=lambda w: (-abs(w.margin), w.position))
+        assert ([_witness_record(w) for w in got.witnesses]
+                == [_witness_record(w) for w in ordered[:cap]])
+        margins = [abs(w.margin) for w in ordered[:cap + 1]]
+        ties += len(margins) - len(set(margins))
+    if isinstance(model, Laplace1D):
+        # Laplace's symmetric cells tie on |margin|: position decides
+        assert ties > 0
+
+
 def test_huge_tolerance_suppresses_laplace_witness():
     verdict = probe_property(Laplace1D(), "convex", LAPLACE_EXACT_GRID,
                              tolerance=10.0)
