@@ -369,8 +369,7 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
                 # each row's observations along its axis, gathered into the
                 # terms' buffer, and then each axis's rows of the terms and
                 # of their peaks with the index the anchors read them by
-                observations = np.take(data, owner, axis=1, out=table,
-                                       mode="clip")
+                observations = data.take(owner, axis=1, out=table, mode="clip")
                 axis_peaks = _axis_terms(
                     np.multiply(coordinates, inv[chunk][:, owner],
                                 out=scaled_coordinates[:size]),
@@ -455,7 +454,7 @@ def _gathered_terms(sources, start, stop, q, spare):
         if index is None:
             np.copyto(rows, terms[:, start:stop])
         else:
-            np.take(terms, index[start:stop], axis=1, out=rows, mode="clip")
+            terms.take(index[start:stop], axis=1, out=rows, mode="clip")
         if k:
             q *= rows
 
