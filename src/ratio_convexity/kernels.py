@@ -38,16 +38,19 @@ themselves.  Each sum is stabilized by its anchor's per-axis peaks and its
 offset's largest term.  The offset's terms exp(e'.v_j - max) span
 exp(-span) to 1, where span is the range of e'.v_j over the observations;
 the per-axis peaks only bound the anchor's own, by a gap, so a table sum is
-at least exp(-span - gap) (the gap is 0 in 1-D).  Every offset is
-factored, and then the direct kernel redoes the rows of the offsets whose
-span exceeds ``_SPAN_LIMIT`` (a far outlier, a long step), whose sums may
-underflow, and the columns of the anchors with a sum below ``_SUM_FLOOR``
-(a gap of several hundred: an anchor whose nearest observations along
-each axis lie far from it along the others).
+at least exp(-span - gap) (the gap is 0 in 1-D).  Every cell is factored,
+and then the direct kernel redoes exactly the short cells, those whose
+factored sum is below ``_SUM_FLOOR`` or NaN.  A cell falls short where the
+gap is several hundred (an anchor whose nearest observations along each
+axis lie far from it along the others), and across the whole row of an
+offset whose span passes ``_SPAN_LIMIT`` (a far outlier, a long step):
+such an offset's weights are set to 0, so that its product meets no
+subnormals, and all its sums fall short.  In 1-D the short cells are
+exactly the rows of those wide offsets.
 
 A call forms each sample's per-offset terms once: its midrange c, its
-scaled offsets and their half squares, and in 1-D each offset's peak, wide
-flag and constant, read from the sample's two extremes.  It then takes the
+scaled offsets and their half squares, and in 1-D each offset's peak and
+constant, read from the sample's two extremes.  It then takes the
 samples in stacks (:func:`_stack_width`), which fill one set of buffers in
 turn, so a stack costs its numpy calls and no allocation.
 
@@ -65,9 +68,11 @@ __all__ = ["anchor_axes", "backend_name", "kde_log_density_batch",
 
 #: most (point, observation) values held by one chunk, unless m is larger
 _CHUNK_VALUES = 1 << 15
-#: widest exponent span of an offset's factored terms: every table sum is
+#: widest exponent span of an offset's factored terms: a 1-D table sum is
 #: then at least exp(-600), about 1e-261, a normal float (exp underflows
-#: past about -708, to subnormals, and to 0 past -745)
+#: past about -708, to subnormals, and to 0 past -745).  It is the guard
+#: against slow subnormal products: a wider offset's weights are set to 0,
+#: so its row falls short and the direct kernel redoes it
 _SPAN_LIMIT = 600.0
 #: smallest table sum kept: about 1e-289, a normal float 2**62 above the
 #: subnormals, so the terms that round to subnormals or to 0 (each off by
@@ -187,9 +192,9 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms,
     ``_SPAN_LIMIT``), the sum of the anchor's per-axis peaks
     sum_k |P_k| and |e'.(a' - c)|.
 
-    Every offset of every sample is factored.  Each sample's midrange,
+    Every cell of every sample is factored.  Each sample's midrange,
     scaled offsets and their half squares are formed once per call, and in
-    1-D each offset's peak, wide flag and constant too, from the sample's
+    1-D each offset's peak and constant too, from the sample's
     extremes.  The samples then go in stacks of :func:`_stack_width`, the
     offsets in groups of at most ``_CHUNK_VALUES // m`` (a stack's make one
     group) and the anchors in chunks whose (anchor, observation) and
@@ -197,59 +202,50 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms,
     values (fewer when the product would pass ``_PRODUCT_TERMS``).  Every
     stack fills one set of buffers, allocated per offset group: its scaled
     and centred data and anchors, its weights (in n-D, from which each
-    offset's peak, flag and constant are read), each axis's terms over its
+    offset's peak and constant are read), each axis's terms over its
     distinct coordinates when all of them fit in ``_CHUNK_VALUES`` values
     (else each chunk forms its anchors' terms whole, stabilized by each
     anchor's own peak), and an anchor chunk's terms, sums and linear
-    terms.  Then the direct kernel
-    redoes each (sample, offset) row whose span passes ``_SPAN_LIMIT`` (or
-    is NaN), and each (sample, anchor) column with a sum over an offset
-    that is not wide below ``_SUM_FLOOR`` (or NaN), in calls of about
-    ``_CHUNK_VALUES`` values.  So a call needs those buffers, a few values
-    per (sample, offset) and per (sample, anchor), the scaled copies of its
-    inputs and its output, whatever m or the anchor count.  Stacked or
-    alone, a sample passes the same operations on its own values, and a
-    stacked product multiplies each sample's matrices on their own, with
-    an anchor chunk of the same size (the bits of a BLAS product depend on
-    its size), so its values are the bits it has alone.  No floating-point
-    warning is raised: a value past double range comes back inf or NaN,
-    for the caller to check.
+    terms.  Then the direct kernel redoes each short cell, one whose
+    factored sum is below ``_SUM_FLOOR`` or NaN (every cell of an offset
+    whose span passes ``_SPAN_LIMIT`` among them), ``_CHUNK_VALUES`` cells
+    of a sample per call.  So a call needs those buffers, a few values per
+    (sample, offset) and per (sample, anchor), the scaled copies of its
+    inputs and its output, whatever m or the anchor count, and once a cell
+    falls short a mask of one byte per cell and the indices of a sample's
+    short cells.  Stacked or alone, a sample passes the same operations on
+    its own values, and a stacked product multiplies each sample's
+    matrices on their own, with an anchor chunk of the same size (the bits
+    of a BLAS product depend on its size), so its values are the bits it
+    has alone, and so are its short cells.  No floating-point warning is
+    raised: a value past double range comes back inf or NaN, for the
+    caller to check.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
     inv = np.asarray(inv_bandwidths, dtype=np.float64)
     log_norms = np.asarray(log_norms, dtype=np.float64)
-    n = samples.shape[2]
-    total, count = anchors.shape[0], offsets.shape[0]
-    out = np.empty((samples.shape[0], count, total))
-    low_anchors = np.zeros((samples.shape[0], total), dtype=bool)
-    # an offset past double range scales to inf, and a wide offset's or a
-    # low anchor's factored log may be -inf or NaN until it is redone
+    if axes is None:
+        axes = anchor_axes(anchors)
+    total = anchors.shape[0]
+    out = np.empty((samples.shape[0], offsets.shape[0], total))
+    # an offset past double range scales to inf, and a short cell's
+    # factored log may be -inf or NaN until it is redone
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        wide = _fill_table(out, anchors, offsets, samples, inv, log_norms,
-                           axes, low_anchors)
-        if not (np.count_nonzero(wide) or np.count_nonzero(low_anchors)):
+        short = _fill_table(out, anchors, offsets, samples, inv, log_norms, axes)
+        if short is None:
             return out
-        # the direct kernel redoes the wide rows, a few offsets per call,
-        # and then the low columns' other offsets, a few anchors per call
-        per_call = max(1, _CHUNK_VALUES // total)
-        for r in np.flatnonzero(wide.any(axis=1)):
-            redo = np.flatnonzero(wide[r])
-            for start in range(0, redo.size, per_call):
-                batch = redo[start:start + per_call]
-                points = (anchors + offsets[batch, None, :]).reshape(-1, n)
-                out[r, batch] = kde_log_density_batch(
-                    points, samples[r], inv[r], log_norms[r]).reshape(-1, total)
-        for r in np.flatnonzero(low_anchors.any(axis=1)):
-            redo = np.flatnonzero(low_anchors[r])
-            kept = np.flatnonzero(~wide[r])
-            per_anchors = max(1, _CHUNK_VALUES // kept.size)
-            for start in range(0, redo.size, per_anchors):
-                batch = redo[start:start + per_anchors]
-                points = (anchors[batch, None, :] + offsets[kept]).reshape(-1, n)
-                out[r][np.ix_(kept, batch)] = kde_log_density_batch(
-                    points, samples[r], inv[r], log_norms[r]).reshape(-1, kept.size).T
+        # the direct kernel redoes each sample's short cells, a chunk of
+        # them per call
+        cells = out.reshape(len(out), -1)
+        for r, mask in enumerate(short):
+            redo = np.flatnonzero(mask)
+            for start in range(0, redo.size, _CHUNK_VALUES):
+                batch = redo[start:start + _CHUNK_VALUES]
+                b, a = np.divmod(batch, total)
+                cells[r, batch] = kde_log_density_batch(
+                    anchors[a] + offsets[b], samples[r], inv[r], log_norms[r])
     return out
 
 
@@ -269,12 +265,12 @@ def _stack_width(total, count, m):
     return max(1, 2 * _CHUNK_VALUES // ((total + count) * m + 2 * total * count))
 
 
-def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
-                low_anchors=None):
+def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes):
     """Fill ``out`` with the factored tables of the arguments of
-    :func:`kde_log_density_table`, and return the (samples, offsets) mask
-    of the wide offsets, and set ``low_anchors``, a (samples, anchors) mask
-    when given, at the low anchors: the caller redoes the values of both."""
+    :func:`kde_log_density_table`, and return the mask of its short cells,
+    those whose factored sum is below ``_SUM_FLOOR`` or NaN, shaped as
+    ``out``: the caller redoes them.  The mask is allocated on the first
+    chunk that falls short; None when no cell does."""
     width, m, n = samples.shape
     total, count = anchors.shape[0], offsets.shape[0]
     # the linear terms are taken about each sample's midrange, so that they
@@ -287,19 +283,15 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
     scaled_offsets = offsets * inv[:, None, :]
     half_squares = 0.5 * np.einsum("rbj,rbj->rb", scaled_offsets, scaled_offsets)
     peak, constant = np.empty((2, width, count))
-    wide = np.empty((width, count), dtype=bool)
+    short = None
     if n == 1:
         # rounding is monotone, so an offset's largest and smallest linear
         # terms are its products with the sample's centred extremes
         extremes = np.concatenate((high - centre, low - centre), axis=1)
         _offset_peaks(scaled_offsets * extremes[:, None, :], half_squares,
-                      log_norms, peak, wide, constant)
+                      log_norms, peak, constant)
     stack = min(max(width, 1), _stack_width(total, count, m))
     group = max(1, _CHUNK_VALUES // m)
-    if axes is None:
-        axes = anchor_axes(anchors)
-    if low_anchors is None:
-        low_anchors = np.zeros((width, total), dtype=bool)
     # every axis's terms over its distinct coordinates, one block of rows
     # per axis, when they fit in one chunk of values (a choice of the
     # sample's own, so the same alone or stacked); each anchor reads its
@@ -355,8 +347,7 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
             else:
                 np.matmul(offset_rows, centred, out=w)
                 _offset_peaks(w, half_squares[chunk, picked], log_norms[chunk],
-                              peak[chunk, picked], wide[chunk, picked],
-                              constant[chunk, picked])
+                              peak[chunk, picked], constant[chunk, picked])
             w -= peak[chunk, picked, None]
             np.exp(w, out=w)
             w = w.transpose(0, 2, 1)
@@ -392,12 +383,13 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
                     if not sliced:
                         _gathered_terms(sources, start, stop, q, buffer)
                 s = np.matmul(q, w, out=sums[:size, :stop - start])
-                # a sum below the floor (or NaN) of an offset that is not
-                # wide marks its anchor for the direct kernel
+                # a sum below the floor (or NaN) marks its cell for the
+                # direct kernel
                 if not s.min() >= _SUM_FLOOR:
-                    short = np.logical_not(s >= _SUM_FLOOR)
-                    short &= ~wide[chunk, None, picked]
-                    low_anchors[chunk, start:stop] |= short.any(axis=2)
+                    if short is None:
+                        short = np.zeros(out.shape, dtype=bool)
+                    short[chunk, picked, start:stop] = np.logical_not(
+                        s >= _SUM_FLOOR).transpose(0, 2, 1)
                 np.log(s, out=s)
                 s += row_peak[:, :, None]
                 s -= np.matmul(centred_points[:, start:stop], offset_columns,
@@ -408,7 +400,7 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes=None,
         # _CHUNK_VALUES a call then holds one row of each beside its scaled
         # samples
         weights = w = quad = q = spare = buffer = sums = linear = s = None
-    return wide
+    return short
 
 
 def _fits_one_chunk(rows, m):
@@ -459,16 +451,17 @@ def _gathered_terms(sources, start, stop, q, spare):
             q *= rows
 
 
-def _offset_peaks(ends, half_squares, log_norms, peak, wide, constant):
-    """Set each offset's ``peak``, its largest linear term, ``wide`` flag
-    and ``constant``, from ``ends``, whose last axis holds its largest and
-    smallest linear terms among others."""
+def _offset_peaks(ends, half_squares, log_norms, peak, constant):
+    """Set each offset's ``peak``, its largest linear term, and
+    ``constant``, from ``ends``, whose last axis holds its largest and
+    smallest linear terms among others.  A wide offset, whose span passes
+    ``_SPAN_LIMIT`` (or is NaN), gets an infinite peak: its weights are
+    then 0 (or NaN), so every sum of its row falls short and is redone."""
     np.max(ends, axis=-1, out=peak)
     # a NaN span (an offset past double range) is wide too
-    np.logical_not(peak - ends.min(axis=-1) <= _SPAN_LIMIT, out=wide)
+    wide = np.logical_not(peak - ends.min(axis=-1) <= _SPAN_LIMIT)
     if np.count_nonzero(wide):
-        # a wide offset's row is redone, so its weights are set to 0 by an
-        # infinite shift: past the span limit they would hold subnormals,
-        # which made a lone 1-D sample's product 17 times slower
+        # past the span limit the weights would hold subnormals, which
+        # made a lone 1-D sample's product 17 times slower
         np.copyto(peak, np.inf, where=wide)
     np.subtract(log_norms[:, None] + peak, half_squares, out=constant)

@@ -587,33 +587,29 @@ def _covariance(centered):
 
 
 def _moments(data):
-    """``(mean, centered, cov, e)`` of a sample (m, n), or of each sample
-    of a stack (..., m, n), at any scale.
+    """``(centered, cov)`` of a sample (m, n), or of each sample of a stack
+    (..., m, n), at any scale.
 
-    ``data - mean = centered * 2**e`` and ``cov`` is the covariance of
-    ``centered``, each sample reduced as it would be alone.  At ordinary
-    scales e = 0 and these are the plain moments.  A sample with a variance
-    outside [_MIN_SD**2, _MAX_SD**2] (or not finite) has them formed again
-    from a copy rescaled by exact powers of two: first by max|sample|,
-    then, after centering, by the largest deviation, so that neither the
-    squares nor the sums leave double range.
+    ``centered`` is the sample less its mean, times an exact power of two,
+    and ``cov`` is its covariance, each sample reduced as it would be
+    alone.  At ordinary scales the power is 1 and these are the plain
+    moments.  A sample with a variance outside [_MIN_SD**2, _MAX_SD**2]
+    (or not finite) has them formed again from a copy rescaled by exact
+    powers of two: first by max|sample|, then, after centering, by the
+    largest deviation, so that neither the squares nor the sums leave
+    double range.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        mean = data.mean(axis=-2)
-        centered = data - mean[..., None, :]
+        centered = data - data.mean(axis=-2)[..., None, :]
         cov = _covariance(centered)
-    exponents = np.zeros(data.shape[:-2], dtype=int)
     variances = np.diagonal(cov, axis1=-2, axis2=-1)
     in_range = ((_MIN_SD ** 2 <= variances)
                 & (variances <= _MAX_SD ** 2)).all(axis=-1)
     for index in map(tuple, np.argwhere(~in_range)):
-        scaled, first = _unit_scaled(data[index])
-        sample_mean = scaled.mean(axis=0)
-        centered[index], second = _unit_scaled(scaled - sample_mean)
-        mean[index] = np.ldexp(sample_mean, first)
+        scaled, _ = _unit_scaled(data[index])
+        centered[index], _ = _unit_scaled(scaled - scaled.mean(axis=0))
         cov[index] = _covariance(centered[index])
-        exponents[index] = first + second
-    return mean, centered, cov, exponents
+    return centered, cov
 
 
 def _covariance_spectrum(cov):
@@ -632,7 +628,7 @@ def _standardize(data):
     """A sample (m, n), or each sample of a stack (..., m, n), centered and
     whitened, with the bits it would have alone.  Raises if any sample has
     no usable spread."""
-    _, centered, cov, _ = _moments(data)
+    centered, cov = _moments(data)
     n = data.shape[-1]
     if n == 1:
         if not np.all(np.isfinite(cov) & (cov > 0.0)):
@@ -721,7 +717,7 @@ def _fitted_root(data):
     """Symmetric square root of the sample covariance over its largest
     eigenvalue: the shape of the fitted Gaussian, all that the standardized
     statistic sees of it.  Exactly [[1.0]] in one dimension."""
-    eigenvalues, basis = _covariance_spectrum(_moments(data)[2])
+    eigenvalues, basis = _covariance_spectrum(_moments(data)[1])
     return basis @ np.diag(np.sqrt(eigenvalues / eigenvalues[0])) @ basis.T
 
 

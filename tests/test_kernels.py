@@ -256,17 +256,22 @@ def test_anchor_axes_rebuild_every_anchor():
     assert values.tobytes() == lattice.anchors[:, 0].tobytes()
 
 
-def test_cross_sample_sends_low_anchors_to_the_direct_kernel():
-    # observations on the two axes only: an anchor off both axes meets an
-    # observation near each of its coordinates, so its per-axis peaks are
-    # near 0, while its nearest observation is a whole coordinate away on
-    # the other axis.  At h = 0.05 that overstates the anchor's peak by far
-    # more than exp underflows past, and its factored sums fall to 0
+def _cross_sample():
+    """The default 2-D plan and a sample on the two axes only, at h = 0.05.
+    An anchor off both axes meets an observation near each of its
+    coordinates, so its per-axis peaks are near 0, while its nearest
+    observation is a whole coordinate away on the other axis."""
     t = np.linspace(-3.0, 3.0, 21)
     data = np.concatenate((np.stack((t, np.zeros_like(t)), axis=1),
                            np.stack((np.zeros_like(t), t), axis=1)))
-    bandwidths = np.full(2, 0.05)
-    plan = normtest._statistic_plan(None, 2)
+    return normtest._statistic_plan(None, 2), data, np.full(2, 0.05)
+
+
+def test_cross_sample_sends_low_anchors_to_the_direct_kernel():
+    # at h = 0.05 the cross sample's per-axis peaks overstate an anchor's
+    # own by far more than exp underflows past, and some of its factored
+    # sums fall to 0.  The direct kernel redoes those cells alone
+    plan, data, bandwidths = _cross_sample()
     scaled = plan.anchors / bandwidths
     v = data / bandwidths
     squares = (scaled[:, None, :] - v[None, :, :]) ** 2
@@ -274,13 +279,16 @@ def test_cross_sample_sends_low_anchors_to_the_direct_kernel():
     true_peaks = (-0.5 * squares.sum(axis=2)).max(axis=1)
     assert (axis_peaks - true_peaks).max() > 700.0
     inv, log_norm = 1.0 / bandwidths, log_norm_of(data, bandwidths)
-    out = np.empty((1, len(plan.offsets), len(plan.anchors)))
-    low = np.zeros((1, len(plan.anchors)), dtype=bool)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        wide = kernels._fill_table(out, plan.anchors, plan.offsets, data[None],
-                                   inv[None], np.array([log_norm]), plan.axes, low)
-    assert low.any() and not low.all()
-    assert not wide.all()
+    _, short = _fill_call(plan.anchors, plan.offsets, data[None], inv[None],
+                          np.array([log_norm]))
+    # beside the whole rows of its wide offsets, the mask holds some of the
+    # other offsets' cells of the low anchors, and not all of them
+    short = short[0]
+    wide = short.all(axis=1)
+    assert wide.any() and not wide.all()
+    low_anchors = short[~wide].any(axis=0)
+    assert low_anchors.any() and not low_anchors.all()
+    assert not short[~wide][:, low_anchors].all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = kernels.kde_log_density_table(
@@ -289,6 +297,30 @@ def test_cross_sample_sends_low_anchors_to_the_direct_kernel():
         rows = (plan.anchors + plan.offsets[:, None, :]).reshape(-1, 2)
         direct = kernels.kde_log_density_batch(rows, data, inv, log_norm)
     direct = direct.reshape(table.shape)
+    assert np.all(np.abs(table - direct) <= TABLE_RTOL * (1.0 + np.abs(direct)))
+
+
+@pytest.mark.parametrize("sample", ["cross", "outlier"])
+def test_direct_kernel_redoes_exactly_the_short_cells(sample):
+    # the cells outside the short mask keep their factored bits, and the
+    # cells inside it are the direct kernel's.  The far outlier makes wide
+    # offsets, whose whole rows fall short
+    if sample == "cross":
+        plan, data, bandwidths = _cross_sample()
+    else:
+        plan, data, bandwidths = _plan_and_sample(2, 40, "outlier")
+    inv, log_norm = 1.0 / bandwidths, log_norm_of(data, bandwidths)
+    factored, short = _fill_call(plan.anchors, plan.offsets, data[None],
+                                 inv[None], np.array([log_norm]))
+    factored, short = factored[0], short[0]
+    assert short.any() and not short.all()
+    if sample == "outlier":
+        assert short.all(axis=1).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, direct, _, _ = _table_and_rows(plan, data, bandwidths)
+    assert table[~short].tobytes() == factored[~short].tobytes()
+    assert table[short].tobytes() == direct[short].tobytes()
     assert np.all(np.abs(table - direct) <= TABLE_RTOL * (1.0 + np.abs(direct)))
 
 
@@ -481,21 +513,23 @@ def _with_zero_axis(values, fill=0.0):
 
 
 def _fill_call(anchors, offsets, samples, inv, log_norms):
-    """``kernels._fill_table``'s factored tables and wide mask, before the
-    direct kernel redoes the wide rows."""
+    """``kernels._fill_table``'s factored tables and short-cell mask, before
+    the direct kernel redoes the short cells."""
     out = np.empty((samples.shape[0], offsets.shape[0], anchors.shape[0]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        wide = kernels._fill_table(out, anchors, offsets, samples, inv, log_norms)
-    return out, wide
+        short = kernels._fill_table(out, anchors, offsets, samples, inv,
+                                    log_norms, kernels.anchor_axes(anchors))
+    return out, short
 
 
 @pytest.mark.parametrize("steps", [None, (20.05,), (1e4,)],
                          ids=["default", "step-20.05", "step-1e4"])
 def test_1d_span_from_extremes_is_the_per_group_span(steps):
-    # in 1-D each offset's peak and span come from the sample's extremes.
-    # The same samples with a second axis of zeros take the n-D route,
-    # whose linear terms are the same products plus exact zeros and whose
-    # peak and span reduce each offset's m terms: the wide mask and every
+    # in 1-D each offset's peak and span come from the sample's extremes,
+    # and the short cells are exactly the rows of the wide offsets.  The
+    # same samples with a second axis of zeros take the n-D route, whose
+    # linear terms are the same products plus exact zeros and whose peak
+    # and span reduce each offset's m terms: the short mask and every
     # table value must be the same bits.  The default lattice has only
     # offsets >= 0, the long steps' grid plans negative ones too; the last
     # three offsets are past double range (an overflowing product, and an
@@ -509,19 +543,20 @@ def test_1d_span_from_extremes_is_the_per_group_span(steps):
     offsets = np.concatenate((plan.offsets, [[1e307], [1e308], [-1e308]]))
     samples, inv, log_norms = _stack(
         1, 200, ("standard_normal", "outlier", "standard_cauchy", "t3"), 8300)
-    table, wide = _fill_call(plan.anchors, offsets, samples, inv, log_norms)
-    generic_table, generic_wide = _fill_call(
+    table, short = _fill_call(plan.anchors, offsets, samples, inv, log_norms)
+    generic_table, generic_short = _fill_call(
         _with_zero_axis(plan.anchors), _with_zero_axis(offsets),
         _with_zero_axis(samples), _with_zero_axis(inv, 1.0), log_norms)
-    assert wide.tolist() == generic_wide.tolist()
-    assert table[~wide].tobytes() == generic_table[~wide].tobytes()
+    assert short.tolist() == generic_short.tolist()
+    assert table[~short].tobytes() == generic_table[~short].tobytes()
     # the per-group reference: the range of e'.(v_j - c) over the sample
     scaled = samples[:, :, 0] * inv
     centre = 0.5 * (scaled.max(axis=1) + scaled.min(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (offsets[:, 0] * inv)[:, :, None] * (scaled - centre[:, None])[:, None, :]
         spans = terms.max(axis=2) - terms.min(axis=2)
-    assert wide.tolist() == (~(spans <= kernels._SPAN_LIMIT)).tolist()
+    wide = ~(spans <= kernels._SPAN_LIMIT)
+    assert short.tolist() == np.broadcast_to(wide[:, :, None], short.shape).tolist()
     assert wide[:, -3:].all() and not np.isfinite(spans[:, -3:]).any()
     assert wide[:, :-3].any() and not wide[:, :-3].all()
     if steps is not None:
