@@ -33,8 +33,13 @@ product of gathered rows per (anchor, observation) and one matrix product
 over the observations, where the direct kernel takes one exp per (anchor,
 offset, observation).  A grid's anchors take few distinct values per axis
 (21 per axis for the 546 anchors of the default 2-D plan), so most of the
-anchors' exps are shared; in 1-D the distinct coordinates are the anchors
-themselves.  Each sum is stabilized by its anchor's per-axis peaks and its
+anchors' exps are shared.  The table takes this per-axis route when the
+axes' distinct coordinates, summed, are fewer than the anchors and their
+terms fit in one chunk of values; otherwise (a 1-D lattice, whose anchors
+are their own distinct coordinates, or a large m) each chunk of anchors
+forms its terms whole, as the direct kernel does.  In 1-D the two routes
+take the same operations on each anchor, the gather aside, and give the
+same bits.  Each sum is stabilized by its anchor's per-axis peaks and its
 offset's largest term.  The offset's terms exp(e'.v_j - max) span
 exp(-span) to 1, where span is the range of e'.v_j over the observations;
 the per-axis peaks only bound the anchor's own, by a gap, so a table sum is
@@ -160,19 +165,13 @@ def kde_log_density_batch(points, data, inv_bandwidth, log_norm):
 
 def anchor_axes(anchors):
     """Each axis's distinct anchor coordinates and each anchor's index into
-    them: one ``(values, index)`` pair per axis, the values ascending.  The
-    index is None where the values are the anchors' own coordinates, in
-    order (a 1-D lattice's anchors)."""
+    them: one ``(values, index)`` pair per axis, the values ascending."""
     axes = []
     for column in np.asarray(anchors, dtype=np.float64).T:
         values, index = np.unique(column, return_inverse=True)
-        if len(values) == len(column) and np.array_equal(values, column):
-            index = None
-        else:
-            # the narrowest integers that hold it: a grid of 65,694 anchors
-            # keeps 64 KB per axis in place of 513 KB
-            index = index.astype(np.min_scalar_type(len(values) - 1))
-        axes.append((values, index))
+        # the narrowest integers that hold it: a grid of 65,694 anchors
+        # keeps 64 KB per axis in place of 513 KB
+        axes.append((values, index.astype(np.min_scalar_type(len(values) - 1))))
     return tuple(axes)
 
 
@@ -203,10 +202,10 @@ def kde_log_density_table(anchors, offsets, samples, inv_bandwidths, log_norms,
     stack fills one set of buffers, allocated per offset group: its scaled
     and centred data and anchors, its weights (in n-D, from which each
     offset's peak and constant are read), each axis's terms over its
-    distinct coordinates when all of them fit in ``_CHUNK_VALUES`` values
-    (else each chunk forms its anchors' terms whole, stabilized by each
-    anchor's own peak), and an anchor chunk's terms, sums and linear
-    terms.  Then the direct kernel redoes each short cell, one whose
+    distinct coordinates when they are fewer than the anchors and all of
+    them fit in ``_CHUNK_VALUES`` values (else each chunk forms its
+    anchors' terms whole, stabilized by each anchor's own peak), and an
+    anchor chunk's terms, sums and linear terms.  Then the direct kernel redoes each short cell, one whose
     factored sum is below ``_SUM_FLOOR`` or NaN (every cell of an offset
     whose span passes ``_SPAN_LIMIT`` among them), ``_CHUNK_VALUES`` cells
     of a sample per call.  So a call needs those buffers, a few values per
@@ -293,19 +292,19 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes):
     stack = min(max(width, 1), _stack_width(total, count, m))
     group = max(1, _CHUNK_VALUES // m)
     # every axis's terms over its distinct coordinates, one block of rows
-    # per axis, when they fit in one chunk of values (a choice of the
+    # per axis, when those coordinates, summed over the axes, are fewer
+    # than the anchors and fit in one chunk of values (a choice of the
     # sample's own, so the same alone or stacked); each anchor reads its
-    # row of every axis through the index.  Past that (large m) each chunk
-    # forms its anchors' terms whole, as the direct kernel does, with one
-    # exp per (anchor, observation): per-axis terms of each chunk's own
-    # anchors took 1.4 times as long.  In 1-D with the anchors' own
-    # coordinates a chunk's terms are a slice of the block
+    # row of every axis through the index.  Otherwise each chunk forms its
+    # anchors' terms whole, as the direct kernel does, with one exp per
+    # (anchor, observation): past one chunk (large m) per-axis terms of
+    # each chunk's own anchors took 1.4 times as long, and where the
+    # anchors are their own distinct coordinates (a 1-D lattice) the whole
+    # route takes the per-axis route's operations without the gather
     counts = [len(values) for values, _ in axes]
-    shared = _fits_one_chunk(sum(counts), m)
-    sliced = shared and n == 1 and axes[0][1] is None
+    shared = sum(counts) < total and _fits_one_chunk(sum(counts), m)
     if shared:
         terms = np.empty((stack, sum(counts), m))
-    if shared and not sliced:
         coordinates = np.concatenate([values for values, _ in axes])
         owner = np.repeat(np.arange(n), counts)
         blocks = list(itertools.accumulate(counts, initial=0))
@@ -321,7 +320,7 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes):
         rows = max(1, min(_CHUNK_VALUES // (m + columns),
                           _PRODUCT_TERMS // (m * columns)))
         weights = np.empty((stack, columns, m))
-        quad = None if sliced else np.empty((stack, min(rows, total), m))
+        quad = np.empty((stack, min(rows, total), m))
         spare = np.empty_like(quad) if n > 1 else None
         sums, linear = np.empty((2, stack, min(rows, total), columns))
         for lo in range(0, width, stack):
@@ -352,14 +351,11 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes):
             np.exp(w, out=w)
             w = w.transpose(0, 2, 1)
             offset_columns = offset_rows.transpose(0, 2, 1)
-            table = terms[:size] if shared else None
-            if sliced:
-                # the coordinates are the scaled anchors themselves
-                anchor_peaks = _axis_terms(points[..., 0], data, table)
-            elif shared:
+            if shared:
                 # each row's observations along its axis, gathered into the
                 # terms' buffer, and then each axis's rows of the terms and
                 # of their peaks with the index the anchors read them by
+                table = terms[:size]
                 observations = data.take(owner, axis=1, out=table, mode="clip")
                 axis_peaks = _axis_terms(
                     np.multiply(coordinates, inv[chunk][:, owner],
@@ -370,18 +366,14 @@ def _fill_table(out, anchors, offsets, samples, inv, log_norms, axes):
                 anchor_peaks = _peak_sums(sources, row_peaks[:size])
             for start in range(0, total, rows):
                 stop = min(start + rows, total)
-                if sliced:
-                    q = table[:, start:stop]
+                q = quad[:size, :stop - start]
+                buffer = None if spare is None else spare[:size, :stop - start]
+                if shared:
+                    row_peak = anchor_peaks[:, start:stop]
+                    _gathered_terms(sources, start, stop, q, buffer)
                 else:
-                    q = quad[:size, :stop - start]
-                    buffer = None if spare is None else spare[:size, :stop - start]
-                if not shared:
                     row_peak = _scaled_kernel_terms(points[:, start:stop], data,
                                                     q, buffer)
-                else:
-                    row_peak = anchor_peaks[:, start:stop]
-                    if not sliced:
-                        _gathered_terms(sources, start, stop, q, buffer)
                 s = np.matmul(q, w, out=sums[:size, :stop - start])
                 # a sum below the floor (or NaN) marks its cell for the
                 # direct kernel
@@ -411,7 +403,7 @@ def _fits_one_chunk(rows, m):
 def _axis_terms(scaled, observations, out):
     """Fill ``out`` with exp(-(u - v_j)^2 / 2 - P(u)) for each scaled
     coordinate u (..., rows) and the observations v_j along its axis
-    (..., rows or 1, m), and return each row's P(u), the largest of
+    (..., rows, m), and return each row's P(u), the largest of
     -(u - v_j)^2 / 2.  ``observations`` may be ``out`` itself."""
     np.subtract(scaled[..., None], observations, out=out)
     np.multiply(out, out, out=out)
@@ -428,8 +420,7 @@ def _peak_sums(sources, out):
     for lo in range(0, total, piece):
         part = slice(lo, lo + piece)
         for k, (_, peaks, index) in enumerate(sources):
-            peaks = peaks[:, part] if index is None else peaks.take(index[part],
-                                                                    axis=1)
+            peaks = peaks.take(index[part], axis=1)
             if k:
                 out[:, part] += peaks
             else:
@@ -443,10 +434,7 @@ def _gathered_terms(sources, start, stop, q, spare):
     ``sources``."""
     for k, (terms, _, index) in enumerate(sources):
         rows = spare if k else q
-        if index is None:
-            np.copyto(rows, terms[:, start:stop])
-        else:
-            terms.take(index[start:stop], axis=1, out=rows, mode="clip")
+        terms.take(index[start:stop], axis=1, out=rows, mode="clip")
         if k:
             q *= rows
 

@@ -125,18 +125,13 @@ def substream_seed(seed, index):
     of a run always sees the same stream regardless of execution order or
     process placement.
     """
-    z = (int(seed) + int(index) * 0x9E3779B97F4A7C15) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+    i = int(index) & _MASK64
+    return int(_substream_seeds(seed, i, i + 1)[0])
 
 
 def _substream_seeds(seed, start, stop):
     """``substream_seed(seed, r)`` for r = start, ..., stop - 1, as a uint64
-    array: the same SplitMix64 steps on uint64 arrays, whose products wrap
+    array: the SplitMix64 steps on uint64 arrays, whose products wrap
     modulo 2**64 without a warning."""
     z = (np.uint64(int(seed) & _MASK64)
          + np.arange(start, stop, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -249,11 +250,42 @@ def test_anchor_axes_rebuild_every_anchor():
     for k, (values, index) in enumerate(axes):
         assert (np.diff(values) > 0).all()
         assert values[index].tobytes() == plan.anchors[:, k].tobytes()
-    # a 1-D lattice's anchors are their own coordinates
+    # a 1-D lattice's anchors are their own distinct coordinates, and its
+    # index rebuilds them too
     lattice = normtest._statistic_plan(None, 1)
     ((values, index),) = kernels.anchor_axes(lattice.anchors)
-    assert index is None
-    assert values.tobytes() == lattice.anchors[:, 0].tobytes()
+    assert len(values) == len(lattice.anchors)
+    assert values[index].tobytes() == lattice.anchors[:, 0].tobytes()
+
+
+def _off_lattice_plan():
+    """The 1-D grid plan of ``test --steps 20.05``: the default grid with a
+    step off the lattice's spacing, whose 208 anchors take 148 distinct
+    coordinates."""
+    grid = dataclasses.replace(normtest.default_test_grid(1), steps=(20.05,))
+    return normtest._statistic_plan(grid, 1)
+
+
+@pytest.mark.parametrize("name, per_axis", [("lattice", False), ("off-lattice", True)])
+def test_per_axis_route_is_taken_when_coordinates_are_fewer(monkeypatch, name,
+                                                            per_axis):
+    # the default 1-D lattice's anchors are their own distinct coordinates,
+    # so it forms each chunk's terms whole; the off-lattice grid plan has
+    # fewer coordinates than anchors and gathers their per-axis terms
+    plan = normtest._statistic_plan(None, 1) if name == "lattice" else _off_lattice_plan()
+    counts = sum(len(values) for values, _ in plan.axes)
+    assert (counts < len(plan.anchors)) == per_axis
+    samples, inv, log_norms = _stack(1, 200, ("standard_normal",), 4300)
+
+    def refuse(*args):
+        raise RuntimeError("per-axis terms gathered")
+
+    monkeypatch.setattr(kernels, "_gathered_terms", refuse)
+    if per_axis:
+        with pytest.raises(RuntimeError, match="per-axis terms gathered"):
+            _stacked_call(plan, samples, inv, log_norms)
+    else:
+        _stacked_call(plan, samples, inv, log_norms)
 
 
 def _cross_sample():
@@ -329,8 +361,12 @@ def test_per_chunk_anchor_terms_agree_with_shared_ones(monkeypatch, dimension):
     # past one chunk of per-axis terms (large m) each chunk forms its
     # anchors' terms whole; refusing the shared terms sends a small call
     # down that route, which agrees to the table's tolerance, and in 1-D,
-    # where both take the same steps, to the bit
-    plan = normtest._statistic_plan(None, dimension)
+    # where both take the same steps, to the bit.  The default 1-D lattice
+    # takes the whole route either way, so 1-D reads the off-lattice plan
+    if dimension == 1:
+        plan = _off_lattice_plan()
+    else:
+        plan = normtest._statistic_plan(None, dimension)
     samples, inv, log_norms = _stack(dimension, 40, ("standard_normal", "t3"), 4100)
     shared = _stacked_call(plan, samples, inv, log_norms)
     monkeypatch.setattr(kernels, "_fits_one_chunk", lambda rows, m: False)

@@ -91,8 +91,9 @@ def test_sample_data_is_read_only():
 
 def test_substream_seed_matches_splitmix64_reference():
     gamma = 0x9E3779B97F4A7C15
+    # an index is taken modulo 2**64, a negative one and one past 2**64 too
     for seed in (0, 1, 42, 2**63):
-        for index in (0, 1, 2, 1000):
+        for index in (0, 1, 2, 1000, -3, 2**64 + 5):
             state = (seed + index * gamma) & ((1 << 64) - 1)
             assert substream_seed(seed, index) == splitmix64_reference(state)
 
@@ -105,15 +106,18 @@ def test_substream_seeds_are_distinct():
 
 def test_vectorized_substream_seeds_are_substream_seed():
     # the block's seeds come from uint64 arrays, whose products wrap
-    # without a warning; a negative seed is taken modulo 2**64
+    # without a warning; a negative seed is taken modulo 2**64.
+    # substream_seed reads one of them, so both meet the reference here
+    gamma = 0x9E3779B97F4A7C15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in (0, 1, 2**63 + 5, 2**64 - 1, 12345678901234, -1):
             for start, stop in ((0, 300), (2**40, 2**40 + 3), (7, 8)):
                 seeds = normtest._substream_seeds(seed, start, stop)
                 assert seeds.dtype == np.uint64
-                assert seeds.tolist() == [substream_seed(seed, r)
-                                          for r in range(start, stop)], seed
+                assert seeds.tolist() == [
+                    splitmix64_reference((seed + r * gamma) & ((1 << 64) - 1))
+                    for r in range(start, stop)], seed
 
 
 def test_substream_states_are_default_rng_states():
