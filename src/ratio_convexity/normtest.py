@@ -519,8 +519,8 @@ def _lattice_plan(grid):
 def _lattice_statistic(log_values, plan):
     """Statistic of each column of (lattice points, R) log-density values.
 
-    Every step is elementwise along a column or a max over it, so each
-    column's statistic is the same float as for that column alone, in
+    Every step is elementwise along a column or a max or min over it, so
+    each column's statistic is the same float as for that column alone, in
     either memory layout.
     """
     d2_at = {ot: (log_values[2 * ot:] - 2.0 * log_values[ot:-ot]
@@ -531,9 +531,14 @@ def _lattice_statistic(log_values, plan):
         d2 = d2_at[ot]
         lo = plan.pad - ot
         gap = d2[lo + oy:lo + oy + plan.count] - d2[lo:lo + plan.count]
-        # fmax skips a NaN column maximum, as a running "worst > best" does
-        np.fmax(best, np.abs(gap).max(axis=0) / (t * t), out=best)
-    return best
+        # max |gap| without an |gap| copy; fmax skips a NaN column maximum,
+        # as a running "worst > best" does
+        worst = np.maximum(gap.max(axis=0), -gap.min(axis=0))
+        np.fmax(best, worst / (t * t), out=best)
+    # where every gap is a zero, max(max gap, -min gap) may be -0.0, and
+    # so may fmax's pick between two zeros: adding 0.0 keeps a zero T
+    # positive, as max |gap| is
+    return best + 0.0
 
 
 def _block_statistics(block, plan):
@@ -547,7 +552,14 @@ def _kde_statistics(samples, bandwidths, plan):
     """Statistics (R,) of the KDEs of samples (R, m, n) with bandwidths (R, n)
     over a plan, from their tables in sub-stacks of at most _BLOCK_VALUES
     values (or one table): a lattice reads them as one (points, R) array."""
-    log_norms = [_log_norm(samples.shape[1], h) for h in bandwidths.tolist()]
+    m = samples.shape[1]
+    if bandwidths.shape[1] == 1:
+        # _log_norm in its association, without a call per sample
+        log_m, half_log_2pi = math.log(m), 0.5 * _LOG_2PI
+        log_norms = [-(log_m + math.log(h) + half_log_2pi)
+                     for h in bandwidths[:, 0].tolist()]
+    else:
+        log_norms = [_log_norm(m, h) for h in bandwidths.tolist()]
     stack = max(1, _BLOCK_VALUES // (len(plan.anchors) * len(plan.offsets)))
     statistics = []
     for lo in range(0, len(samples), stack):
@@ -565,7 +577,11 @@ def _kde_statistics(samples, bandwidths, plan):
             else:
                 log_values = tables.transpose(2, 1, 0).reshape(-1, len(tables))
             log_values = log_values[:len(plan.points)]
-            _check_log_density_range(log_values, plan.points)
+            if not _in_log_density_range(log_values):
+                # the first sample out of range is refused, at its first
+                # such point, as it would be alone
+                for column in log_values.T:
+                    _check_log_density_range(column, plan.points)
             statistics.extend(_lattice_statistic(log_values, plan))
             continue
         for table in tables:
@@ -637,58 +653,66 @@ def _standardize(data):
     return centered @ whiten
 
 
-def _pipeline_statistic(data, plan):
-    """Standardize -> bandwidth -> KDE -> statistic of one sample, as a
-    one-sample block of the code the bootstrap replicates pass through."""
-    statistics, bandwidths = _block_statistics(_standardize(data[None]), plan)
-    return float(statistics[0]), bandwidths[0]
+def _replicate_statistics(root, m, plan, seed, start, stop, observed=None):
+    """Statistics (stop - start,) of replications start, ..., stop - 1, in
+    order, and the bandwidths (n,) of replication 0, the observed sample
+    ``observed`` (m, n), when start is 0 (else None).
 
-
-def _replicate_statistics(root, m, plan, seed, start, stop):
-    """T* of replications start, ..., stop - 1, in order.
-
-    Replication r is m draws from N(0, root root') on its own substream,
-    the stream of ``np.random.default_rng(substream_seed(seed, r))``.  The
-    replicates are drawn into (R, m, n) blocks of at most _BLOCK_VALUES
-    values (one replicate when m n exceeds it).  A block's substream
-    seeds and states are computed in one pass each
-    (:func:`_substream_seeds`, :func:`_pcg64_states`) and the states set
-    in turn on one generator, which then draws each replicate's normals:
-    the bits of a fresh generator per replicate, without building one.  Each
-    block is multiplied by the root (exactly [[1.0]] in 1-D, so skipped
-    there), standardized and passes :func:`_block_statistics` once.
+    Replication r > 0 is m draws from N(0, root root') on its own
+    substream, the stream of ``np.random.default_rng(substream_seed(seed,
+    r))``.  The replications go in (R, m, n) blocks of at most
+    _BLOCK_VALUES values (one replication when m n exceeds it), the
+    observed sample first in the first.  A block's substream seeds and
+    states are computed in one pass each (:func:`_substream_seeds`,
+    :func:`_pcg64_states`) and the states set in turn on one generator,
+    which then draws each replicate's normals: the bits of a fresh
+    generator per replicate, without building one.  The draws are
+    multiplied by the root (exactly [[1.0]] in 1-D, so skipped there),
+    and the block is standardized and passes :func:`_block_statistics`
+    once; each sample keeps the bits it has alone, the observed one too.
     """
     n = root.shape[0]
     width = max(1, _BLOCK_VALUES // (m * n))
     statistics = np.empty(stop - start)
+    bandwidths = None
     # built here, not at import: every draw first sets the state it needs
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     for lo in range(start, stop, width):
         block = np.empty((min(width, stop - lo), m, n))
-        states = _pcg64_states(_substream_seeds(seed, lo, lo + len(block)))
+        draws = block
+        if lo == 0:
+            block[0] = observed
+            draws = block[1:]
+        hi = lo + len(block)
+        states = _pcg64_states(_substream_seeds(seed, hi - len(draws), hi))
         # each replicate's C-ordered (m, n) values, as one flat row
-        for draws, state in zip(block.reshape(len(block), -1), states):
+        for row, state in zip(draws.reshape(len(draws), m * n), states):
             bit_generator.state = state
-            generator.standard_normal(out=draws)
+            generator.standard_normal(out=row)
         if n > 1:
-            block = block @ root
+            draws[...] = draws @ root
         try:
             block = _standardize(block)
         except DegenerateSampleError:
             raise _degenerate_replicate(block, lo, root) from None
-        statistics[lo - start:lo - start + len(block)] = (
-            _block_statistics(block, plan)[0])
-    return statistics
+        block_statistics, block_bandwidths = _block_statistics(block, plan)
+        statistics[lo - start:lo - start + len(block)] = block_statistics
+        if lo == 0:
+            bandwidths = block_bandwidths[0]
+    return statistics, bandwidths
 
 
 def _degenerate_replicate(block, lo, root):
-    """The error for a block of replicates ``lo, ...`` that could not be
-    standardized, naming the first replicate that cannot be alone."""
-    for r, draws in enumerate(block, lo):
+    """The error for a block of replications ``lo, ...`` that could not be
+    standardized: the observed sample's own (replication 0), or one naming
+    the first replicate that cannot be alone."""
+    for r, sample in enumerate(block, lo):
         try:
-            _standardize(draws[None])
+            _standardize(sample[None])
         except DegenerateSampleError as exc:
+            if r == 0:
+                return exc
             reason = str(exc)
             break
     shape = np.linalg.eigvalsh(root)  # square roots of the eigenvalue ratios
@@ -725,6 +749,8 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     replication, so the result does not depend on worker scheduling),
     pushes each through the same standardize/bandwidth/KDE/statistic
     pipeline, and returns the rank p-value (1 + #{T* >= T}) / (reps + 1).
+    The observed sample passes the pipeline as replication 0, the first
+    sample of the first block, with the bits it has alone.
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
@@ -747,12 +773,16 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
             raise UsageError(f"alpha {a} is outside (0, 1)")
     plan = _statistic_plan(grid, n)
     data = sample.data
-    t_obs, bandwidths = _pipeline_statistic(data, plan)
-    root = _fitted_root(data)
+    # the root is exactly [[1.0]] in 1-D; in n-D it refuses a singular
+    # sample, with the message its standardization would give
+    root = _fitted_root(data) if n > 1 else np.ones((1, 1))
 
+    # replication 0 is the observed sample: its T and bandwidths come from
+    # the first block, worker 0's in a pool
     budget = min(thread_budget(), reps, os.cpu_count() or 1)
-    bounds = np.linspace(1, reps + 1, budget + 1).astype(int)
-    payloads = [(root, sample.count, plan, seed, int(lo), int(hi))
+    bounds = np.linspace(0, reps + 1, budget + 1).astype(int)
+    payloads = [(root, sample.count, plan, seed, int(lo), int(hi),
+                 data if lo == 0 else None)
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if budget > 1:
         # imported here: the pool's modules take 15-20 ms to import, and a
@@ -763,7 +793,9 @@ def monte_carlo_pvalue(sample, grid=None, reps=DEFAULT_REPS, seed=0,
     else:
         batches = [_replicate_statistics(*payload) for payload in payloads]
 
-    p_value = pvalue_from_replicates(t_obs, np.concatenate(batches))
+    statistics = np.concatenate([batch for batch, _ in batches])
+    t_obs, bandwidths = statistics[0], batches[0][1]
+    p_value = pvalue_from_replicates(t_obs, statistics[1:])
     bandwidth = float(bandwidths[0]) if n == 1 else tuple(float(h) for h in bandwidths)
     decisions = tuple((a, p_value <= a) for a in alphas)
     return TestReport(statistic=float(t_obs), p_value=float(p_value),

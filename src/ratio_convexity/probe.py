@@ -312,7 +312,7 @@ def second_difference(phi, x, direction, step):
 class _CentreTerms:
     """The terms of the margins that depend on phi(x) alone, formed once
     per probe: phi(x), 2 phi(x), h(x) = exp(phi(x)) and the violation
-    thresholds of the probes of h and of log h."""
+    thresholds of the probes of h and of log h, and their negatives."""
 
     phi: np.ndarray
     #: 2 phi(x), exact, so the second difference of log h keeps its bits
@@ -322,16 +322,21 @@ class _CentreTerms:
     h_tol: np.ndarray
     #: tol * max(1, |phi(x)|)
     log_tol: np.ndarray
+    #: -h_tol and -log_tol, the convex and log-convex probes' thresholds
+    neg_h_tol: np.ndarray
+    neg_log_tol: np.ndarray
 
 
 def _centre_terms(phi_center, tol):
     # at tol = 0 an infinite 1 / h(x) makes h_tol NaN, and no h probe there
     # finds a violation
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        h_tol = tol * np.maximum(np.exp(-phi_center), 1.0)
+        log_tol = tol * np.maximum(1.0, np.abs(phi_center))
         return _CentreTerms(
             phi=phi_center, twice_phi=2.0 * phi_center, h=np.exp(phi_center),
-            h_tol=tol * np.maximum(np.exp(-phi_center), 1.0),
-            log_tol=tol * np.maximum(1.0, np.abs(phi_center)))
+            h_tol=h_tol, log_tol=log_tol, neg_h_tol=-h_tol,
+            neg_log_tol=-log_tol)
 
 
 def _block_margins(kinds, centre, phi_minus, phi_plus):
@@ -352,7 +357,7 @@ def _block_margins(kinds, centre, phi_minus, phi_plus):
                     log_d2 = phi_plus - centre.twice_phi + phi_minus
                 margin = log_d2
                 if kind is PropertyKind.LOG_CONVEX:
-                    mask = log_d2 < -centre.log_tol
+                    mask = log_d2 < centre.neg_log_tol
                 else:
                     mask = log_d2 > centre.log_tol
             elif kind is PropertyKind.QUASI_CONVEX:
@@ -367,7 +372,7 @@ def _block_margins(kinds, centre, phi_minus, phi_plus):
                     h_margin = centre.h * h_d2
                 margin = h_margin
                 if kind is PropertyKind.CONVEX:
-                    mask = h_d2 < -centre.h_tol
+                    mask = h_d2 < centre.neg_h_tol
                 else:
                     mask = h_d2 > centre.h_tol
             margins.append((margin, mask))

@@ -723,11 +723,26 @@ def test_unknown_subcommand_exits_2(run_cli):
     assert run_cli(["frobnicate"])[0] == 2
 
 
-def test_numeric_failure_exits_3(run_cli, tmp_path):
+def test_numeric_failure_exits_3(run_cli, capsys, tmp_path):
     constant = tmp_path / "constant.csv"
     constant.write_text("x\n" + "5.0\n" * 30)
     code, _ = run_cli(["test", "--input", str(constant)])
     assert code == 3
+    assert "sample variance is zero" in capsys.readouterr().err
+
+
+def test_collinear_sample_exits_3(run_cli, capsys, tmp_path):
+    # the observed sample is refused with its own message, before any
+    # replicate is read
+    z = np.random.default_rng(1).standard_normal(40)
+    path = tmp_path / "collinear.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n"
+                            for a, b in zip(z.tolist(), (2.0 * z).tolist())))
+    code, out = run_cli(["test", "--input", str(path)])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert "sample covariance is singular" in err
+    assert "bootstrap replication" not in err
 
 
 def test_singular_bootstrap_replicate_exits_3(run_cli, capsys, tmp_path):
@@ -739,7 +754,7 @@ def test_singular_bootstrap_replicate_exits_3(run_cli, capsys, tmp_path):
     code, out = run_cli(["test", "--input", str(path), "--reps", "99", "--seed", "1"])
     assert (code, out) == (3, "")
     err = capsys.readouterr().err
-    assert "bootstrap replication" in err
+    assert "bootstrap replication 2:" in err
     assert "fitted covariance is too close to singular" in err
 
 

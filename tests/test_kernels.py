@@ -240,6 +240,30 @@ def test_table_memory_does_not_grow_with_m_or_anchors(m, points):
     assert peak - table.nbytes - 2 * plan.anchors.nbytes < 2 * 2 ** 20
 
 
+def test_short_cells_take_memory_by_their_count():
+    # a standardized 3-D Cauchy sample on 65,694 anchors and 45 offsets
+    # has 897 short cells.  Beyond its 22.6 MB output and two scaled copies
+    # of the anchors, the call held 1.3 MB with their indices, and 3.7 MB
+    # with a one-byte mask over the whole output
+    plan = _grid_plan(ProbeGrid.for_dimension(
+        3, x_min=-3.0, x_max=3.0, points=19, y_magnitudes=(0.5, 1.0, 2.0),
+        steps=(0.2, 0.4)))
+    data = normtest._standardize(np.random.default_rng(6100).standard_cauchy((40, 3)))
+    bandwidths = normtest._silverman_per_axis(data)
+    inv, log_norm = 1.0 / bandwidths, log_norm_of(data, bandwidths)
+    _, short = _fill_call(plan.anchors, plan.offsets, data[None], inv[None],
+                          np.array([log_norm]))
+    assert np.count_nonzero(short) == 897
+    tracemalloc.start()
+    try:
+        table = kernels.kde_log_density_table(plan.anchors, plan.offsets, data[None],
+                                              inv[None], [log_norm])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes - 2 * plan.anchors.nbytes < 2 * 2 ** 20
+
+
 # ------------------------------------------------- per-axis anchor terms
 
 
@@ -549,12 +573,17 @@ def _with_zero_axis(values, fill=0.0):
 
 
 def _fill_call(anchors, offsets, samples, inv, log_norms):
-    """``kernels._fill_table``'s factored tables and short-cell mask, before
-    the direct kernel redoes the short cells."""
+    """``kernels._fill_table``'s factored tables, before the direct kernel
+    redoes the short cells, and the mask of those cells, shaped as the
+    tables, from the ascending flat indices it returns per sample."""
     out = np.empty((samples.shape[0], offsets.shape[0], anchors.shape[0]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        short = kernels._fill_table(out, anchors, offsets, samples, inv,
+        cells = kernels._fill_table(out, anchors, offsets, samples, inv,
                                     log_norms, kernels.anchor_axes(anchors))
+    short = np.zeros(out.shape, dtype=bool)
+    for r, indices in cells.items():
+        assert indices.size and (np.diff(indices) > 0).all()
+        short[r].reshape(-1)[indices] = True
     return out, short
 
 

@@ -20,7 +20,6 @@ from ratio_convexity.normtest import (
     _fitted_root,
     _lattice_plan,
     _lattice_statistic,
-    _pipeline_statistic,
     _replicate_statistics,
     _silverman_per_axis,
     _standardize,
@@ -705,6 +704,14 @@ def test_lattice_and_generic_paths_agree():
         assert fast == pytest.approx(slow, rel=1e-9)
 
 
+def _pipeline_statistic(data, plan):
+    """T and bandwidths of one sample as the test reads the observed
+    sample: replication 0, alone in its run."""
+    statistics, bandwidths = _replicate_statistics(
+        np.eye(data.shape[1]), len(data), plan, 0, 0, 1, data)
+    return float(statistics[0]), bandwidths
+
+
 def _lattice_samples(m, seed):
     """Plain, 1e+-200-scaled and mostly tied 1-D samples of size m."""
     rng = np.random.default_rng(seed)
@@ -734,14 +741,14 @@ def test_block_bootstrap_equals_per_replicate_oracle(monkeypatch, m):
         assert statistic == pytest.approx(want_statistic, rel=STATISTIC_RTOL), name
         assert float(bandwidths[0]) == want_bandwidth, name
         root = _fitted_root(data)
-        batched = _replicate_statistics(root, m, plan, 9, 1, 41)
+        batched, _ = _replicate_statistics(root, m, plan, 9, 1, 41)
         np.testing.assert_allclose(
             batched, per_replicate_statistics(root, m, plan, 9, 1, 41),
             rtol=STATISTIC_RTOL, err_msg=name)
         # three replicates per block, the last block partial: the same bits
         with monkeypatch.context() as patch:
             patch.setattr(normtest, "_BLOCK_VALUES", 3 * m)
-            partial = _replicate_statistics(root, m, plan, 9, 1, 41)
+            partial, _ = _replicate_statistics(root, m, plan, 9, 1, 41)
         assert partial.tolist() == batched.tolist(), name
 
 
@@ -782,6 +789,17 @@ def test_lattice_statistic_reads_each_column_alone():
     for r in range(log_values.shape[1]):
         alone = _lattice_statistic(log_values[:, r:r + 1], plan)
         assert together[r] == alone[0] == lattice_statistic_loop(log_values[:, r], plan)
+
+
+def test_lattice_statistic_of_zero_gaps_is_positive_zero():
+    # max |gap| is read as max(max gap, -min gap), which is -0.0 where every
+    # gap is a zero; T is +0.0 there, as |gap| gives it
+    plan = _lattice_plan(default_test_grid(1))
+    log_values = np.zeros((len(plan.points), 40))
+    log_values[:, 20:] = -0.0
+    statistics = _lattice_statistic(log_values, plan)
+    assert statistics.tolist() == [0.0] * 40
+    assert not np.signbit(statistics).any()
 
 
 @pytest.mark.parametrize("width", [3, normtest._WIDE_BLOCK + 24])
@@ -840,18 +858,26 @@ def test_grid_block_tables_stay_small():
 
 
 def test_bootstrap_blocks_stay_within_block_values(monkeypatch):
-    shapes = []
+    blocks = []
 
     def recording(block, plan):
-        shapes.append(block.shape)
+        blocks.append(block)
         return _block_statistics(block, plan)
 
     monkeypatch.setattr(normtest, "_block_statistics", recording)
     data = np.random.default_rng(102).standard_normal(5000)
-    monte_carlo_pvalue(Sample(data), reps=99, seed=2)
-    # the observed sample, then 99 replicates in blocks of 65536 // 5000
-    assert shapes == [(1, 5000, 1)] + [(13, 5000, 1)] * 7 + [(8, 5000, 1)]
+    report = monte_carlo_pvalue(Sample(data), reps=99, seed=2)
+    # the observed sample and 99 replicates in blocks of 65536 // 5000,
+    # the observed sample first in the first
+    shapes = [block.shape for block in blocks]
+    assert shapes == [(13, 5000, 1)] * 7 + [(9, 5000, 1)]
     assert all(width * m * n <= _BLOCK_VALUES for width, m, n in shapes)
+    observed = standardize_alone(data.reshape(-1, 1))
+    assert blocks[0][0].tobytes() == observed.tobytes()
+    statistics, bandwidths = _block_statistics(observed[None], _lattice_plan(
+        default_test_grid(1)))
+    assert report.statistic == statistics[0]
+    assert report.bandwidth == bandwidths[0, 0]
 
 
 def test_fine_lattice_bootstrap_blocks_stay_small():
@@ -878,11 +904,11 @@ def test_grid_block_bootstrap_equals_per_replicate_oracle(monkeypatch, dimension
     grid = default_test_grid(dimension)
     root = _fitted_root(data)
     expected = per_replicate_grid_statistics(root, 20, grid, 9, 1, 6)
-    whole = _replicate_statistics(root, 20, _grid_plan(grid), 9, 1, 6)
+    whole, _ = _replicate_statistics(root, 20, _grid_plan(grid), 9, 1, 6)
     np.testing.assert_allclose(whole, expected, rtol=STATISTIC_RTOL)
     # two replicates per block, the last block partial: the same bits
     monkeypatch.setattr(normtest, "_BLOCK_VALUES", 2 * 20 * dimension)
-    assert _replicate_statistics(root, 20, _grid_plan(grid), 9, 1, 6).tolist() == whole.tolist()
+    assert _replicate_statistics(root, 20, _grid_plan(grid), 9, 1, 6)[0].tolist() == whole.tolist()
 
 
 def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
@@ -898,7 +924,8 @@ def test_grid_test_plans_once_in_bounded_blocks(monkeypatch):
     data = np.random.default_rng(104).standard_normal((20, 2))
     monte_carlo_pvalue(Sample(data), reps=99, seed=2)
     assert builds.count("_grid_plan") == 1
-    assert shapes == [(1, 20, 2), (40, 20, 2), (40, 20, 2), (19, 20, 2)]
+    # the observed sample and 99 replicates, the observed sample first
+    assert shapes == [(40, 20, 2), (40, 20, 2), (20, 20, 2)]
     assert all(width * m * n <= normtest._BLOCK_VALUES for width, m, n in shapes)
     # a second test reads the shared plan
     monte_carlo_pvalue(Sample(data), reps=99, seed=3)
@@ -1046,8 +1073,11 @@ def test_null_is_the_standard_normal_in_1d(monkeypatch):
     replicates = []
 
     def recording(*args):
-        replicates.append(_replicate_statistics(*args))
-        return replicates[-1]
+        statistics, bandwidths = _replicate_statistics(*args)
+        # one serial run of replications 0 (the observed sample) to 99
+        assert args[4:6] == (0, 100)
+        replicates.append(statistics[1:])
+        return statistics, bandwidths
 
     monkeypatch.setattr(normtest, "_replicate_statistics", recording)
     for data in samples:
